@@ -25,10 +25,14 @@ fn bench_external_sort(c: &mut Criterion) {
                 let sorter = ExternalSorter::new(MemDevice::new(2 * n + 8, 2048), 64);
                 let mut count = 0u64;
                 sorter
-                    .sort(input.clone().into_iter().map(Ok), |_| {
-                        count += 1;
-                        Ok(())
-                    })
+                    .sort(
+                        input.clone().into_iter().map(Ok),
+                        |_| Ok(()),
+                        |_| {
+                            count += 1;
+                            Ok(())
+                        },
+                    )
                     .unwrap();
                 assert_eq!(count, n);
             })

@@ -6,14 +6,22 @@
 //! `aesenc`/`aesdec` instruction, so single-block throughput is already an
 //! order of magnitude over the T-tables — and because the instructions are
 //! pipelined, the batched entry points below run **eight independent blocks
-//! in flight at once**, which is where CBC *decryption* (parallelisable,
-//! unlike encryption) and the reseal round trip get their multi-GB/s path.
+//! in flight at once**, which is where CBC *decryption* and the reseal round
+//! trip get their multi-GB/s path.
+//!
+//! CBC *encryption* of one chain cannot be split that way: every block's
+//! input is the previous block's ciphertext, so a single chain waits out the
+//! full `aesenc` latency of every round. Independent chains share nothing,
+//! though, so the multi-lane CBC encrypt interleaves up to eight of them
+//! (each under its own IV) round by round — the same shape as `encrypt8`,
+//! with one chain per lane instead of one block per lane. A single chain is
+//! the one-lane case of the same loop.
 //!
 //! Safety: every `#[target_feature(enable = "aes,sse2")]` function in this module
 //! is only reachable through the constructors, which assert AES-NI support at
 //! runtime (`is_x86_feature_detected!`). The remaining `unsafe` blocks are
 //! unaligned 16-byte loads/stores over slices whose bounds are checked by the
-//! callers.
+//! callers (the multi-lane CBC loop asserts its lane lengths on entry).
 
 use core::arch::x86_64::{
     __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
@@ -21,7 +29,8 @@ use core::arch::x86_64::{
     _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
-use super::AES_BLOCK_SIZE;
+use super::{lane_len, AES_BLOCK_SIZE};
+use crate::cbc::CbcLane;
 
 /// How many blocks the batched entry points keep in flight. Eight 128-bit
 /// lanes fill the `aesenc`/`aesdec` pipeline on every post-2010 x86 core
@@ -224,6 +233,71 @@ fn decrypt_blocks<const R: usize>(rk: &[__m128i; R], data: &mut [u8]) {
     }
 }
 
+/// `N` independent CBC chains of `len` bytes each, encrypted with their
+/// rounds interleaved: per block position, every lane XORs in its own chain
+/// value, then all `N` lanes go through each round key together, so `N`
+/// dependent `aesenc` sequences overlap in the pipeline.
+#[target_feature(enable = "aes,sse2")]
+fn cbc_encrypt_group<const R: usize, const N: usize>(
+    rk: &[__m128i; R],
+    lanes: &mut [CbcLane<'_>; N],
+    len: usize,
+) {
+    let mut chain = [_mm_setzero_si128(); N];
+    let mut data = [core::ptr::null_mut::<u8>(); N];
+    for i in 0..N {
+        assert_eq!(lanes[i].data.len(), len, "equal-length lanes");
+        chain[i] = load(lanes[i].iv);
+        data[i] = lanes[i].data.as_mut_ptr();
+    }
+    let mut off = 0;
+    while off + AES_BLOCK_SIZE <= len {
+        let mut b = [_mm_setzero_si128(); N];
+        for i in 0..N {
+            // SAFETY: lane `i` holds `len` bytes (asserted above) and
+            // `off + 16 <= len`; `loadu` has no alignment requirement.
+            let plain = unsafe { _mm_loadu_si128(data[i].add(off).cast()) };
+            b[i] = _mm_xor_si128(_mm_xor_si128(plain, chain[i]), rk[0]);
+        }
+        for key in &rk[1..R - 1] {
+            for lane in &mut b {
+                *lane = _mm_aesenc_si128(*lane, *key);
+            }
+        }
+        for i in 0..N {
+            chain[i] = _mm_aesenclast_si128(b[i], rk[R - 1]);
+            // SAFETY: as for the load; the lanes are distinct `&mut` slices.
+            unsafe { _mm_storeu_si128(data[i].add(off).cast(), chain[i]) };
+        }
+        off += AES_BLOCK_SIZE;
+    }
+}
+
+/// Multi-lane CBC encrypt: groups of eight chains while at least eight
+/// remain, then one group each of four, two and one for the rest.
+#[target_feature(enable = "aes,sse2")]
+fn cbc_encrypt_lanes<const R: usize>(rk: &[__m128i; R], lanes: &mut [CbcLane<'_>]) {
+    let len = lane_len(lanes);
+    let mut wide = lanes.chunks_exact_mut(PIPELINE_WIDTH);
+    for group in &mut wide {
+        cbc_encrypt_group::<R, PIPELINE_WIDTH>(rk, group.try_into().expect("eight lanes"), len);
+    }
+    let mut rest = wide.into_remainder();
+    if rest.len() >= 4 {
+        let (group, tail) = core::mem::take(&mut rest).split_at_mut(4);
+        cbc_encrypt_group::<R, 4>(rk, group.try_into().expect("four lanes"), len);
+        rest = tail;
+    }
+    if rest.len() >= 2 {
+        let (group, tail) = core::mem::take(&mut rest).split_at_mut(2);
+        cbc_encrypt_group::<R, 2>(rk, group.try_into().expect("two lanes"), len);
+        rest = tail;
+    }
+    if let [lane] = rest {
+        cbc_encrypt_group::<R, 1>(rk, core::array::from_mut(lane), len);
+    }
+}
+
 /// Assert once that the CPU actually has AES-NI. `is_x86_feature_detected!`
 /// caches its CPUID probe, so this is a single atomic load on the hot path —
 /// and it makes every `unsafe` call below locally justified: the type cannot
@@ -277,6 +351,13 @@ macro_rules! aesni_cipher {
                 // SAFETY: construction proved AES-NI support; `data` is
                 // 16-byte aligned in length (checked by the dispatcher).
                 unsafe { decrypt_blocks(&self.dec, data) }
+            }
+
+            #[inline]
+            pub(crate) fn encrypt_cbc_lanes(&self, lanes: &mut [CbcLane<'_>]) {
+                // SAFETY: construction proved AES-NI support; lane lengths
+                // are checked inside.
+                unsafe { cbc_encrypt_lanes(&self.enc, lanes) }
             }
         }
 

@@ -6,7 +6,8 @@
 //! * [`ttable`] — the portable fused-T-table cipher (a round is 16 table
 //!   lookups and a handful of XORs); compiles and runs everywhere.
 //! * `aesni` — hardware AES via `aesenc`/`aesdec`/`aeskeygenassist`
-//!   intrinsics (x86-64 only), with batched 8-wide pipelined entry points.
+//!   intrinsics (x86-64 only), with batched 8-wide pipelined entry points
+//!   and up to eight interleaved CBC-encrypt chains.
 //! * [`reference`] — the original table-free byte-oriented implementation,
 //!   kept as the correctness oracle; property tests assert all backends agree
 //!   on random keys and blocks.
@@ -26,6 +27,7 @@ mod aesni;
 mod ttable;
 
 use crate::backend::{self, Backend};
+use crate::cbc::CbcLane;
 use crate::CryptoError;
 
 /// The AES block size in bytes.
@@ -35,9 +37,10 @@ pub const AES_BLOCK_SIZE: usize = 16;
 ///
 /// Both [`Aes128`] and [`Aes256`] implement this trait; the rest of the
 /// workspace is generic over it so tests can plug in lighter ciphers. The
-/// batched methods exist so hardware backends can keep several blocks in
-/// flight per call — implementors with a pipelined path should override them,
-/// and callers with more than a block of data should prefer them.
+/// batched methods (ECB over a slice, CBC over independent chains) exist so
+/// hardware backends can keep several blocks in flight per call —
+/// implementors with a pipelined path should override them, and callers with
+/// more than a block of data should prefer them.
 pub trait BlockCipher: Send + Sync {
     /// Encrypt a single 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]);
@@ -73,6 +76,49 @@ pub trait BlockCipher: Send + Sync {
             self.decrypt_block(block.try_into().expect("16-byte chunks"));
         }
     }
+
+    /// CBC-encrypt independent chains in place: each lane's data under its
+    /// own IV. One chain is inherently serial (every block feeds the next),
+    /// but separate chains share nothing, so a pipelined backend can keep
+    /// several in flight; this default runs them one after another.
+    ///
+    /// # Panics
+    /// Panics unless every lane's data has the same length, a multiple of
+    /// [`AES_BLOCK_SIZE`] ([`crate::CbcCipher::encrypt_lanes`] checks this
+    /// and returns a typed error instead).
+    fn encrypt_cbc_lanes(&self, lanes: &mut [CbcLane<'_>]) {
+        cbc_encrypt_serial(lanes, |block| self.encrypt_block(block));
+    }
+}
+
+/// Panic unless every lane has the same block-aligned length, so no chain
+/// can be left with an unencrypted tail; returns the length.
+fn lane_len(lanes: &[CbcLane<'_>]) -> usize {
+    let len = lanes.first().map_or(0, |lane| lane.data.len());
+    assert!(
+        len % AES_BLOCK_SIZE == 0 && lanes.iter().all(|lane| lane.data.len() == len),
+        "CBC lanes must be equal-length 16-byte blocks"
+    );
+    len
+}
+
+/// The serial CBC-encrypt loop: one chain after another, one block at a
+/// time, each 16-byte lane XOR-chained as one 128-bit word.
+fn cbc_encrypt_serial(
+    lanes: &mut [CbcLane<'_>],
+    encrypt_block: impl Fn(&mut [u8; AES_BLOCK_SIZE]),
+) {
+    lane_len(lanes);
+    for lane in lanes {
+        let mut chain = u128::from_ne_bytes(*lane.iv);
+        for block in lane.data.chunks_exact_mut(AES_BLOCK_SIZE) {
+            let block: &mut [u8; AES_BLOCK_SIZE] =
+                block.try_into().expect("chunks_exact yields 16-byte lanes");
+            *block = (u128::from_ne_bytes(*block) ^ chain).to_ne_bytes();
+            encrypt_block(block);
+            chain = u128::from_ne_bytes(*block);
+        }
+    }
 }
 
 // The blanket impls must forward the batched methods explicitly — falling
@@ -95,6 +141,10 @@ impl<C: BlockCipher + ?Sized> BlockCipher for &C {
     fn decrypt_blocks(&self, data: &mut [u8]) {
         (**self).decrypt_blocks(data);
     }
+
+    fn encrypt_cbc_lanes(&self, lanes: &mut [CbcLane<'_>]) {
+        (**self).encrypt_cbc_lanes(lanes);
+    }
 }
 
 impl<C: BlockCipher + ?Sized> BlockCipher for std::sync::Arc<C> {
@@ -112,6 +162,10 @@ impl<C: BlockCipher + ?Sized> BlockCipher for std::sync::Arc<C> {
 
     fn decrypt_blocks(&self, data: &mut [u8]) {
         (**self).decrypt_blocks(data);
+    }
+
+    fn encrypt_cbc_lanes(&self, lanes: &mut [CbcLane<'_>]) {
+        (**self).encrypt_cbc_lanes(lanes);
     }
 }
 
@@ -342,6 +396,15 @@ macro_rules! dispatcher_impl {
                     }
                     #[cfg(target_arch = "x86_64")]
                     $inner::AesNi(c) => c.decrypt_blocks(data),
+                }
+            }
+
+            #[inline]
+            fn encrypt_cbc_lanes(&self, lanes: &mut [CbcLane<'_>]) {
+                match &self.inner {
+                    $inner::TTable(c) => cbc_encrypt_serial(lanes, |block| c.encrypt_block(block)),
+                    #[cfg(target_arch = "x86_64")]
+                    $inner::AesNi(c) => c.encrypt_cbc_lanes(lanes),
                 }
             }
         }

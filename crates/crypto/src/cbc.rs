@@ -11,6 +11,15 @@
 //! Storage block payloads are always exact multiples of the AES block size, so
 //! no padding scheme is needed; [`CbcCipher`] rejects unaligned buffers
 //! instead.
+//!
+//! Encrypting one chain is serial — each block's input is the previous
+//! block's ciphertext — but independent chains share nothing. Encryption
+//! therefore has one entry, [`CbcCipher::encrypt_lanes`], which takes any
+//! number of equal-length buffers, each under its own IV, and lets the block
+//! cipher interleave them ([`BlockCipher::encrypt_cbc_lanes`]; up to eight
+//! chains in flight on AES-NI). Encrypting a single buffer is the one-lane
+//! case. Decryption has no serial dependency even within one chain, so it
+//! goes eight blocks wide per buffer.
 
 use crate::aes::{BlockCipher, AES_BLOCK_SIZE};
 
@@ -22,6 +31,13 @@ pub enum CbcError {
         /// Offending input length.
         len: usize,
     },
+    /// The buffers of a multi-lane call did not all have the same length.
+    UnequalLanes {
+        /// Length of the first lane.
+        expected: usize,
+        /// Length of the first lane that differs from it.
+        got: usize,
+    },
 }
 
 impl core::fmt::Display for CbcError {
@@ -30,11 +46,26 @@ impl core::fmt::Display for CbcError {
             CbcError::NotBlockAligned { len } => {
                 write!(f, "CBC input length {len} is not a multiple of 16")
             }
+            CbcError::UnequalLanes { expected, got } => {
+                write!(
+                    f,
+                    "CBC lane of {got} bytes in a batch of {expected}-byte lanes"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for CbcError {}
+
+/// One independent chain of a multi-lane CBC encrypt: the IV it starts from
+/// and the buffer it encrypts in place.
+pub struct CbcLane<'a> {
+    /// Initial vector of this chain.
+    pub iv: &'a [u8; AES_BLOCK_SIZE],
+    /// Plaintext in, ciphertext out.
+    pub data: &'a mut [u8],
+}
 
 /// CBC-mode wrapper around any [`BlockCipher`].
 pub struct CbcCipher<C: BlockCipher> {
@@ -52,35 +83,44 @@ impl<C: BlockCipher> CbcCipher<C> {
         &self.cipher
     }
 
-    /// Encrypt `data` in place under `iv`. `data.len()` must be a multiple of
-    /// 16 bytes.
+    /// Encrypt every lane in place, each under its own IV, as independent
+    /// CBC chains. All lanes must have the same length, a multiple of 16
+    /// bytes; otherwise nothing is encrypted and a typed error is returned.
     ///
-    /// The whole buffer is processed in place: each 16-byte lane is XOR-chained
-    /// as one 128-bit word and handed to the block cipher directly, with no
-    /// per-block staging copies.
+    /// The output is byte-identical to encrypting the lanes one by one; the
+    /// block cipher is free to interleave them (see the module docs).
+    pub fn encrypt_lanes(&self, lanes: &mut [CbcLane<'_>]) -> Result<(), CbcError> {
+        let Some(first) = lanes.first() else {
+            return Ok(());
+        };
+        let len = first.data.len();
+        if len % AES_BLOCK_SIZE != 0 {
+            return Err(CbcError::NotBlockAligned { len });
+        }
+        if let Some(lane) = lanes.iter().find(|lane| lane.data.len() != len) {
+            return Err(CbcError::UnequalLanes {
+                expected: len,
+                got: lane.data.len(),
+            });
+        }
+        self.cipher.encrypt_cbc_lanes(lanes);
+        Ok(())
+    }
+
+    /// Encrypt `data` in place under `iv`. `data.len()` must be a multiple of
+    /// 16 bytes. The one-lane case of [`CbcCipher::encrypt_lanes`].
     pub fn encrypt_in_place(
         &self,
         iv: &[u8; AES_BLOCK_SIZE],
         data: &mut [u8],
     ) -> Result<(), CbcError> {
-        if data.len() % AES_BLOCK_SIZE != 0 {
-            return Err(CbcError::NotBlockAligned { len: data.len() });
-        }
-        let mut chain = u128::from_ne_bytes(*iv);
-        for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-            let block: &mut [u8; AES_BLOCK_SIZE] =
-                block.try_into().expect("chunks_exact yields 16-byte lanes");
-            *block = (u128::from_ne_bytes(*block) ^ chain).to_ne_bytes();
-            self.cipher.encrypt_block(block);
-            chain = u128::from_ne_bytes(*block);
-        }
-        Ok(())
+        self.encrypt_lanes(&mut [CbcLane { iv, data }])
     }
 
     /// Decrypt `data` in place under `iv`.
     ///
-    /// Unlike encryption, CBC decryption has no serial dependency between
-    /// blocks — every plaintext block is `D(c[i]) ^ c[i-1]` — so the bulk of
+    /// Unlike encrypting one chain, CBC decryption has no serial dependency
+    /// between blocks — every plaintext block is `D(c[i]) ^ c[i-1]` — so the bulk of
     /// the buffer goes through [`BlockCipher::decrypt_blocks`] eight blocks
     /// at a time (saving a copy of the ciphertext first, then applying the
     /// XOR chain afterwards), which lets hardware backends keep their whole
@@ -147,6 +187,7 @@ impl<C: BlockCipher> CbcCipher<C> {
 mod tests {
     use super::*;
     use crate::aes::{Aes128, Aes256};
+    use crate::Backend;
 
     fn hex_to_bytes(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -264,6 +305,99 @@ mod tests {
                 decrypted, plaintext,
                 "wide path diverged at {blocks} blocks"
             );
+        }
+    }
+
+    #[test]
+    fn lanes_match_sequential_chains_on_every_backend() {
+        // Every lane count from 1 to 17 covers each group shape (8/4/2/1)
+        // and their combinations; the sequential oracle is one
+        // `encrypt_in_place` per buffer, itself checked against the
+        // table-free reference cipher.
+        let key = [0x5Au8; 32];
+        let reference = CbcCipher::new(crate::reference::Aes256::new(&key));
+        for b in [Backend::Portable, Backend::AesNi] {
+            if !b.is_available() {
+                continue;
+            }
+            let cbc = CbcCipher::new(Aes256::with_backend(&key, b).unwrap());
+            for n in 1..=17usize {
+                for blocks in [1usize, 3, 255] {
+                    let ivs: Vec<[u8; 16]> = (0..n)
+                        .map(|i| core::array::from_fn(|j| (i * 31 + j * 7) as u8))
+                        .collect();
+                    let plain: Vec<Vec<u8>> = (0..n)
+                        .map(|i| (0..blocks * 16).map(|j| (i * 131 + j) as u8).collect())
+                        .collect();
+                    let mut batched = plain.clone();
+                    let mut lanes: Vec<CbcLane<'_>> = ivs
+                        .iter()
+                        .zip(batched.iter_mut())
+                        .map(|(iv, data)| CbcLane { iv, data })
+                        .collect();
+                    cbc.encrypt_lanes(&mut lanes).unwrap();
+                    for i in 0..n {
+                        let mut sequential = plain[i].clone();
+                        cbc.encrypt_in_place(&ivs[i], &mut sequential).unwrap();
+                        assert_eq!(
+                            batched[i],
+                            sequential,
+                            "lane {i} of {n} ({blocks} blocks) on {}",
+                            b.name()
+                        );
+                        assert_eq!(sequential, reference.encrypt(&ivs[i], &plain[i]).unwrap());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_lanes_are_typed_errors_and_leave_data_untouched() {
+        for b in [Backend::Portable, Backend::AesNi] {
+            if !b.is_available() {
+                continue;
+            }
+            let cbc = CbcCipher::new(Aes256::with_backend(&[1u8; 32], b).unwrap());
+            let iv = [0u8; 16];
+            let (mut a, mut c) = (vec![7u8; 24], vec![7u8; 24]);
+            let mut lanes = [
+                CbcLane {
+                    iv: &iv,
+                    data: &mut a,
+                },
+                CbcLane {
+                    iv: &iv,
+                    data: &mut c,
+                },
+            ];
+            assert_eq!(
+                cbc.encrypt_lanes(&mut lanes),
+                Err(CbcError::NotBlockAligned { len: 24 })
+            );
+            let (mut a, mut c) = (vec![7u8; 32], vec![7u8; 48]);
+            let mut lanes = [
+                CbcLane {
+                    iv: &iv,
+                    data: &mut a,
+                },
+                CbcLane {
+                    iv: &iv,
+                    data: &mut c,
+                },
+            ];
+            assert_eq!(
+                cbc.encrypt_lanes(&mut lanes),
+                Err(CbcError::UnequalLanes {
+                    expected: 32,
+                    got: 48
+                })
+            );
+            assert!(
+                a.iter().chain(&c).all(|&x| x == 7),
+                "no lane may be touched"
+            );
+            assert_eq!(cbc.encrypt_lanes(&mut []), Ok(()));
         }
     }
 

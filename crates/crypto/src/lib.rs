@@ -53,7 +53,7 @@ mod sha256;
 pub use aes::reference;
 pub use aes::{Aes128, Aes256, BlockCipher, AES_BLOCK_SIZE};
 pub use backend::{backend_name, sha256_backend_name, Backend, Sha256Backend};
-pub use cbc::{CbcCipher, CbcError};
+pub use cbc::{CbcCipher, CbcError, CbcLane};
 pub use drbg::HashDrbg;
 pub use hmac::HmacSha256;
 pub use keys::{AesScheduleCache, Key128, Key256, KeyError};

@@ -100,9 +100,18 @@ impl<D: BlockDevice> ExternalSorter<D> {
 
     /// Sort `records` by ascending key, delivering them to `output` in order.
     ///
-    /// The input is a fallible stream so callers can decrypt/seal items
-    /// lazily while the sort consumes them (the level re-ordering pipeline);
-    /// the first `Err` aborts the sort. If everything fits in memory the sort
+    /// The input is a fallible stream so callers can decrypt items lazily
+    /// while the sort consumes them (the level re-ordering pipeline); the
+    /// first `Err` aborts the sort. The sort pulls at most `memory_records`
+    /// records into one in-memory chunk at a time, and hands each full chunk
+    /// (or the final partial one), in arrival order, to `prepare` before it
+    /// is sorted and spilled — or emitted, when everything fits in memory.
+    /// The level rebuild seals a whole chunk there in one multi-lane call,
+    /// so sealing never pulls the input further ahead than the sort itself
+    /// does and the device I/O order is that of a per-record seal. Sort keys
+    /// and ids must not change in `prepare`.
+    ///
+    /// If everything fits in memory the sort
     /// partition is not touched; otherwise sorted runs of `memory_records`
     /// records are spilled to the partition as **consecutive ranged writes**
     /// of at most [`IO_BATCH_BLOCKS`] blocks (the head continues across
@@ -113,9 +122,15 @@ impl<D: BlockDevice> ExternalSorter<D> {
     /// per batch instead of one per block, which is what makes sorting's
     /// share of access *time* far smaller than its share of I/O *operations*
     /// (Figure 12(b)).
-    pub fn sort<I, F>(&self, records: I, mut output: F) -> Result<SortIo, ObliviousError>
+    pub fn sort<I, P, F>(
+        &self,
+        records: I,
+        mut prepare: P,
+        mut output: F,
+    ) -> Result<SortIo, ObliviousError>
     where
         I: IntoIterator<Item = Result<SortRecord, ObliviousError>>,
+        P: FnMut(&mut [SortRecord]) -> Result<(), ObliviousError>,
         F: FnMut(SortRecord) -> Result<(), ObliviousError>,
     {
         let mut io = SortIo::default();
@@ -139,6 +154,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
             if chunk.is_empty() {
                 break;
             }
+            prepare(&mut chunk)?;
             chunk.sort_by_key(|r| (r.key, r.id));
             let is_last_possible = chunk.len() < self.memory_records;
             if runs.is_empty() && first_run.is_none() && is_last_possible {
@@ -278,10 +294,14 @@ mod tests {
         let sorter = ExternalSorter::new(device, memory);
         let mut out = Vec::new();
         let io = sorter
-            .sort(records(n, 100).into_iter().map(Ok), |r| {
-                out.push(r);
-                Ok(())
-            })
+            .sort(
+                records(n, 100).into_iter().map(Ok),
+                |_| Ok(()),
+                |r| {
+                    out.push(r);
+                    Ok(())
+                },
+            )
             .unwrap();
         (out, io)
     }
@@ -337,10 +357,14 @@ mod tests {
         let sorter = ExternalSorter::new(device, 4);
         let mut count = 0;
         let io = sorter
-            .sort(std::iter::empty(), |_| {
-                count += 1;
-                Ok(())
-            })
+            .sort(
+                std::iter::empty(),
+                |_| Ok(()),
+                |_| {
+                    count += 1;
+                    Ok(())
+                },
+            )
             .unwrap();
         assert_eq!(count, 0);
         assert_eq!(io, SortIo::default());
@@ -359,7 +383,7 @@ mod tests {
             5
         ];
         assert!(matches!(
-            sorter.sort(too_big.into_iter().map(Ok), |_| Ok(())),
+            sorter.sort(too_big.into_iter().map(Ok), |_| Ok(()), |_| Ok(())),
             Err(ObliviousError::ItemTooLarge { .. })
         ));
     }
@@ -376,12 +400,63 @@ mod tests {
             }
         });
         let mut delivered = 0;
-        let err = sorter.sort(input, |_| {
-            delivered += 1;
-            Ok(())
-        });
+        let err = sorter.sort(
+            input,
+            |_| Ok(()),
+            |_| {
+                delivered += 1;
+                Ok(())
+            },
+        );
         assert!(matches!(err, Err(ObliviousError::Corrupt(_))));
         assert_eq!(delivered, 0, "no output before the input error surfaced");
+    }
+
+    #[test]
+    fn prepare_sees_each_chunk_once_without_reading_ahead() {
+        // 23 records through 5-record chunks: four full chunks and a tail of
+        // three, each handed to `prepare` in arrival order exactly when the
+        // sort has pulled its last record and no later one. What `prepare`
+        // does to the payloads is what comes out.
+        let n = 23u64;
+        let memory = 5usize;
+        let device = MemDevice::new(64, 256);
+        let sorter = ExternalSorter::new(device, memory);
+        let pulled = std::cell::Cell::new(0u64);
+        let input = records(n, 10).into_iter().map(|r| {
+            pulled.set(pulled.get() + 1);
+            Ok(r)
+        });
+        let mut chunks: Vec<Vec<u64>> = Vec::new();
+        let mut out = Vec::new();
+        sorter
+            .sort(
+                input,
+                |chunk| {
+                    let seen: u64 = chunks.iter().map(|c| c.len() as u64).sum();
+                    assert_eq!(pulled.get(), seen + chunk.len() as u64, "read ahead");
+                    chunks.push(chunk.iter().map(|r| r.id).collect());
+                    for r in chunk.iter_mut() {
+                        r.payload.iter_mut().for_each(|b| *b ^= 0xff);
+                    }
+                    Ok(())
+                },
+                |r| {
+                    out.push(r);
+                    Ok(())
+                },
+            )
+            .unwrap();
+        let expected: Vec<Vec<u64>> = (0..n)
+            .collect::<Vec<_>>()
+            .chunks(memory)
+            .map(<[u64]>::to_vec)
+            .collect();
+        assert_eq!(chunks, expected);
+        assert_eq!(out.len() as u64, n);
+        for r in &out {
+            assert_eq!(r.payload, vec![(r.id % 256) as u8 ^ 0xff; 10]);
+        }
     }
 
     #[test]
@@ -390,7 +465,7 @@ mod tests {
         let sorter = ExternalSorter::new(device, 2);
         let many = records(50, 10);
         assert!(matches!(
-            sorter.sort(many.into_iter().map(Ok), |_| Ok(())),
+            sorter.sort(many.into_iter().map(Ok), |_| Ok(()), |_| Ok(())),
             Err(ObliviousError::SortPartitionTooSmall { .. })
         ));
     }
@@ -423,10 +498,14 @@ mod tests {
         ];
         let mut out = Vec::new();
         sorter
-            .sort(input.into_iter().map(Ok), |r| {
-                out.push((r.key, r.id));
-                Ok(())
-            })
+            .sort(
+                input.into_iter().map(Ok),
+                |_| Ok(()),
+                |r| {
+                    out.push((r.key, r.id));
+                    Ok(())
+                },
+            )
             .unwrap();
         assert_eq!(out, vec![(1, 9), (5, 1), (5, 2), (5, 3)]);
     }

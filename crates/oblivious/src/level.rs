@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use stegfs_base::BlockCodec;
+use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
@@ -129,7 +129,7 @@ impl Level {
 
     /// Maximum payload bytes per item for a given device block size.
     pub fn item_capacity(block_size: usize) -> usize {
-        (block_size - stegfs_base::IV_SIZE) - ITEM_HEADER
+        (block_size - IV_SIZE) - ITEM_HEADER
     }
 
     fn encode_item(codec: &BlockCodec, id: u64, payload: &[u8]) -> Vec<u8> {
@@ -363,13 +363,21 @@ impl Level {
     }
 
     /// Shared tail of [`Level::reorder`] / [`Level::merge_reorder`]: derive a
-    /// fresh epoch key and nonce, seal the incoming item stream lazily, sort
+    /// fresh epoch key and nonce, seal the incoming item stream under it, sort
     /// it by random keys, write the new permutation back in ranged batches
     /// and rebuild the index. The caller must have snapshotted the level
     /// state ([`Level::take_snapshot`]) and pre-checked capacity; `io`
     /// carries the reads already attributed to collecting the input. Errors
     /// are tagged with whether any level block had been written, so
     /// [`Level::settle_rebuild`] knows when a rollback is safe.
+    ///
+    /// Each item's IV and then its sort key are drawn from `rng` as the item
+    /// arrives, exactly as a per-item seal would draw them; the encryption
+    /// itself is deferred to the sorter's `prepare` hook, which seals each
+    /// in-memory chunk with one [`BlockCodec::seal_batch`] call, so on AES-NI
+    /// up to eight CBC chains run interleaved. The sorter pulls no further ahead
+    /// than its chunk, so the DRBG stream, the sealed bytes and the order of
+    /// level- and sort-device I/O are those of sealing item by item.
     #[allow(clippy::too_many_arguments)]
     fn rebuild_with<D, S, I>(
         &mut self,
@@ -393,8 +401,8 @@ impl Level {
             self.index_no, self.epoch
         ));
 
-        // Seal every item under the new epoch key and tag it with a random
-        // sort key; the sorted order is the new permutation. The stream is
+        // Stage every item under a fresh IV and tag it with a random sort
+        // key; the sorted order is the new permutation. The stream is
         // consumed by the sorter, so memory stays bounded by its run size.
         let new_key = self.key;
         let item_cap = Self::item_capacity(codec.block_size());
@@ -406,16 +414,22 @@ impl Level {
                     max: item_cap,
                 });
             }
-            let plain = Self::encode_item(codec, id, &payload);
-            let sealed = codec
-                .seal(&new_key, &plain, rng)
+            let mut iv = [0u8; IV_SIZE];
+            rng.fill_bytes(&mut iv);
+            let staged = codec
+                .stage(&iv, &Self::encode_item(codec, id, &payload))
                 .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
             Ok(SortRecord {
                 key: rng.next_u64(),
                 id,
-                payload: sealed,
+                payload: staged,
             })
         });
+        let seal_chunk = |chunk: &mut [SortRecord]| {
+            codec
+                .seal_batch(&new_key, chunk.iter_mut().map(|r| r.payload.as_mut_slice()))
+                .map_err(|e| ObliviousError::Corrupt(e.to_string()))
+        };
 
         // External merge sort; the output callback stages sorted slots and
         // flushes them in ranged writes of IO_BATCH_BLOCKS blocks.
@@ -428,7 +442,7 @@ impl Level {
         let capacity = self.capacity;
         let manifest = &mut self.manifest;
         let data_offset = self.data_offset;
-        let sort_result = sorter.sort(records, |record| {
+        let sort_result = sorter.sort(records, seal_chunk, |record| {
             if slot >= capacity {
                 return Err(ObliviousError::CapacityExhausted);
             }
@@ -576,7 +590,7 @@ impl<D: BlockDevice + ?Sized> Iterator for SlotStream<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::MemDevice;
+    use stegfs_blockdev::{BlockDeviceExt, MemDevice};
 
     const BLOCK: usize = 512;
 
@@ -778,6 +792,79 @@ mod tests {
             .reorder(&device, &codec, &sorter, &master, &mut rng, survivors)
             .unwrap();
         assert_eq!(level.len(), 7);
+    }
+
+    /// The DRBG a rebuild leaves behind when it fails after `arrived` items
+    /// entered the sort: the index nonce, then per item its IV and its sort
+    /// key, in arrival order — what sealing each item as it arrives draws.
+    fn drbg_after_failed_rebuild(before: &HashDrbg, arrived: usize) -> HashDrbg {
+        let mut rng = before.clone();
+        rng.next_u64();
+        for _ in 0..arrived {
+            rng.fill_bytes(&mut [0u8; IV_SIZE]);
+            rng.next_u64();
+        }
+        rng
+    }
+
+    /// The level's logical state, compared across a rolled-back rebuild.
+    fn logical_state(level: &Level) -> (Vec<(u64, u64)>, u64, Key256) {
+        let mut manifest: Vec<(u64, u64)> = level.manifest.iter().map(|(&i, &s)| (i, s)).collect();
+        manifest.sort_unstable();
+        (manifest, level.nonce, level.key)
+    }
+
+    #[test]
+    fn mid_stream_corrupt_slot_leaves_drbg_and_level_as_per_item_sealing_would() {
+        // Six upper items through 4-record chunks: the first chunk is sealed
+        // and spilled to the sort partition, two more items arrive, then the
+        // lower stream hits a corrupt slot. Nothing reached the level, so it
+        // rolls back, and the DRBG has drawn for exactly the six arrivals.
+        let (device, sort_device, mut level, codec, master, mut rng) = setup(32);
+        let sorter = ExternalSorter::new(sort_device, 4);
+        level
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(8))
+            .unwrap();
+        let victim_slot = level.manifest[&100];
+        device
+            .write_block(level.data_offset + victim_slot, &[0xA5u8; BLOCK])
+            .unwrap();
+        let before = logical_state(&level);
+        let epoch = level.epoch;
+        let mut expected = drbg_after_failed_rebuild(&rng, 6);
+        let upper: Vec<(u64, Vec<u8>)> = (500..506).map(|id| (id, vec![7u8; 16])).collect();
+        assert!(matches!(
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper),
+            Err(ObliviousError::Corrupt(_))
+        ));
+        let spilled = sorter.device().read_block_vec(0).unwrap();
+        assert!(spilled.iter().any(|&b| b != 0), "a chunk was spilled");
+        assert_eq!(logical_state(&level), before);
+        assert_eq!(level.epoch, epoch + 1, "the failed attempt keeps its epoch");
+        assert_eq!(rng.next_u64(), expected.next_u64());
+    }
+
+    #[test]
+    fn mid_stream_oversized_item_leaves_drbg_and_level_as_per_item_sealing_would() {
+        let (device, sort_device, mut level, codec, master, mut rng) = setup(16);
+        let sorter = ExternalSorter::new(sort_device, 4);
+        level
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(8))
+            .unwrap();
+        let before = logical_state(&level);
+        let mut expected = drbg_after_failed_rebuild(&rng, 5);
+        let mut batch = items(9);
+        batch[5].1 = vec![0u8; Level::item_capacity(BLOCK) + 1];
+        assert!(matches!(
+            level.reorder(&device, &codec, &sorter, &master, &mut rng, batch),
+            Err(ObliviousError::ItemTooLarge { .. })
+        ));
+        assert_eq!(logical_state(&level), before);
+        assert_eq!(rng.next_u64(), expected.next_u64());
+        for (id, payload) in items(8) {
+            let slot = level.lookup(&device, id).unwrap().0.expect("present");
+            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+        }
     }
 
     #[test]

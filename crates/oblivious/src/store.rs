@@ -93,7 +93,9 @@ pub struct ObliviousStore<D, S> {
     cfg: ObliviousConfig,
     levels: Vec<RwLock<Level>>,
     front: RwLock<FrontBuffer>,
-    membership: RwLock<DetHashSet<u64>>,
+    /// Every cached id with its write version, bumped by each `insert` /
+    /// `write`; see [`ObliviousStore::read`] for what the version guards.
+    membership: RwLock<DetHashMap<u64, u64>>,
     master_key: Key256,
     rng: Mutex<HashDrbg>,
     stats: SharedObliviousStats,
@@ -103,6 +105,10 @@ pub struct ObliviousStore<D, S> {
     write_epoch: AtomicU64,
     /// Where the sealed epoch record lives when persistence is enabled.
     epoch_block: Option<u64>,
+    /// One-shot pause between a read's level probe and its re-insert, so a
+    /// test can run a write and a flush inside that window on every run.
+    #[cfg(test)]
+    probe_pause: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
@@ -185,12 +191,14 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             cfg,
             levels,
             front: RwLock::new(FrontBuffer::default()),
-            membership: RwLock::new(DetHashSet::default()),
+            membership: RwLock::new(DetHashMap::default()),
             master_key,
             rng: Mutex::new(HashDrbg::new(&seed.to_be_bytes())),
             stats: SharedObliviousStats::default(),
             clock,
             write_epoch: AtomicU64::new(0),
+            #[cfg(test)]
+            probe_pause: Mutex::new(None),
         })
     }
 
@@ -211,7 +219,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Whether logical block `id` is cached anywhere in the store.
     pub fn contains(&self, id: u64) -> bool {
-        self.membership.read().contains(&id)
+        self.membership.read().contains_key(&id)
     }
 
     /// Number of distinct logical blocks cached.
@@ -345,11 +353,12 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             });
         }
         let mut membership = self.membership.write();
-        if membership.len() >= self.cfg.last_level_blocks as usize && !membership.contains(&id) {
+        if membership.len() >= self.cfg.last_level_blocks as usize && !membership.contains_key(&id)
+        {
             return Err(ObliviousError::CapacityExhausted);
         }
         self.stats.count_insert();
-        membership.insert(id);
+        *membership.entry(id).or_insert(0) += 1;
         let mut front = self.front.write();
         if let Some(&pos) = front.index.get(&id) {
             front.entries[pos].1 = payload;
@@ -382,20 +391,35 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// flush follows from the cascade moving items strictly *downward* —
     /// the same direction this scan proceeds — and from fresher copies
     /// always sitting at shallower levels.
+    ///
+    /// That last invariant would break if the level copy found here were
+    /// re-buffered after a racing write of `id` had already been flushed
+    /// below the buffer: the stale copy would then shadow the fresh one. So
+    /// the re-insert is guarded. If no flush ran since the buffer check
+    /// (the write epoch has not moved), a write of `id` since then would
+    /// still sit in the buffer, so finding `id` absent there proves the copy
+    /// fresh. Otherwise the read compares `id`'s write version with the one
+    /// it started with, under the membership read lock, which keeps writers
+    /// out until the re-insert is done. A read that loses the race still
+    /// returns its copy — it linearizes before the write. Sequentially
+    /// nothing moves in between, so the trace is unchanged.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
-        if !self.contains(id) {
+        let Some(version) = self.membership.read().get(&id).copied() else {
             return Err(ObliviousError::NotCached { id });
-        }
+        };
         self.stats.count_read_served();
 
         // Buffer hit: served from agent memory, no storage I/O (Figure 8(b)).
-        {
+        // Flushes bump the write epoch under the front-buffer write lock, so
+        // it is stable while the read lock is held.
+        let epoch = {
             let front = self.front.read();
             if let Some(&pos) = front.index.get(&id) {
                 self.stats.count_buffer_hit();
                 return Ok(front.entries[pos].1.clone());
             }
-        }
+            self.write_epoch()
+        };
 
         let start = self.now_us();
         let mut found: Option<Vec<u8>> = None;
@@ -446,13 +470,29 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             ))
         })?;
 
+        #[cfg(test)]
+        if let Some(pause) = self.probe_pause.lock().take() {
+            pause();
+        }
+
         // Figure 8(b): "add B1 to buffer; if buffer is full ... copy buffer
-        // into level1". If a racing reader or writer already re-buffered the
-        // id, the buffer copy is at least as fresh as our level copy — keep
-        // it (sequentially this branch is never taken: the buffer was
-        // checked above and nothing ran in between).
+        // into level1". Skipped if a write of `id` landed since the read
+        // began (its copy is fresher, wherever the cascade has taken it), or
+        // if a racing reader already re-buffered the same version
+        // (sequentially neither happens: nothing runs in between).
         {
+            let membership;
             let mut front = self.front.write();
+            if self.write_epoch() != epoch {
+                // A flush ran: fall back to the version, taking the locks in
+                // the documented order.
+                drop(front);
+                membership = self.membership.read();
+                if membership.get(&id) != Some(&version) {
+                    return Ok(payload);
+                }
+                front = self.front.write();
+            }
             if !front.index.contains_key(&id) {
                 let pos = front.entries.len();
                 front.index.insert(id, pos);
@@ -604,7 +644,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         }
         buffer_indexed
             && union.len() == membership.len()
-            && union.iter().all(|id| membership.contains(id))
+            && union.iter().all(|id| membership.contains_key(id))
     }
 }
 
@@ -979,6 +1019,80 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.reads_served, 8 * 60);
         assert_eq!(stats.inserts, 48);
+    }
+
+    /// Read `id` on another thread, running `meanwhile` while the read is
+    /// paused between its level probe and its re-insert; returns what the
+    /// read returned.
+    fn read_with_pause(
+        store: &ObliviousStore<MemDevice, MemDevice>,
+        id: u64,
+        meanwhile: impl FnOnce(),
+    ) -> Vec<u8> {
+        let (probed_tx, probed_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        *store.probe_pause.lock() = Some(Box::new(move || {
+            probed_tx.send(()).unwrap();
+            resume_rx.recv().unwrap();
+        }));
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| store.read(id).unwrap());
+            probed_rx.recv().unwrap();
+            meanwhile();
+            resume_tx.send(()).unwrap();
+            reader.join().unwrap()
+        })
+    }
+
+    #[test]
+    fn read_never_rebuffers_a_copy_older_than_a_racing_write() {
+        // The lost-write race, made deterministic: a reader finds the old
+        // copy of id 7 in level 1 and pauses before re-buffering it; a
+        // writer stores a new value and fills the buffer, so the flush
+        // carries the new value into level 1; then the reader resumes. Its
+        // stale copy must not land in the buffer, where it would shadow the
+        // flushed write.
+        let store = new_store(4, 32);
+        for id in [7u64, 1, 2, 3] {
+            store.insert(id, payload(id)).unwrap();
+        }
+        assert!(store.front.read().entries.is_empty(), "id 7 is in level 1");
+        let fresh = vec![0xF5u8; 99];
+        let raced = read_with_pause(&store, 7, || {
+            store.write(7, fresh.clone()).unwrap();
+            for id in 100..103u64 {
+                store.insert(id, payload(id)).unwrap();
+            }
+            assert!(
+                store.front.read().entries.is_empty(),
+                "the write was flushed"
+            );
+        });
+        // The racing read linearizes before the write.
+        assert_eq!(raced, payload(7));
+        assert!(store.membership_is_consistent());
+        assert_eq!(store.read(7).unwrap(), fresh, "the write was lost");
+    }
+
+    #[test]
+    fn read_still_rebuffers_across_a_flush_that_left_its_id_alone() {
+        // Same window, but the flush carries only other ids: the version of
+        // id 7 has not moved, so its copy is still the freshest and goes
+        // back into the buffer exactly as Figure 8(b) prescribes.
+        let store = new_store(4, 32);
+        for id in [7u64, 1, 2, 3] {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let epoch = store.write_epoch();
+        let read = read_with_pause(&store, 7, || {
+            for id in 100..104u64 {
+                store.insert(id, payload(id)).unwrap();
+            }
+        });
+        assert!(store.write_epoch() > epoch, "a flush ran inside the window");
+        assert_eq!(read, payload(7));
+        assert!(store.front.read().index.contains_key(&7), "re-buffered");
+        assert!(store.membership_is_consistent());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use stegfs_base::BlockClass;
+use stegfs_base::{BlockClass, FsError, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HmacSha256, Key256};
 
@@ -742,22 +742,39 @@ impl<D: BlockDevice> ResilientStore<D> {
                 per * blocks.len()
             )));
         }
-        for (i, &b) in blocks.iter().enumerate() {
-            let start = (i * per).min(payload.len());
-            let end = ((i + 1) * per).min(payload.len());
-            let plain = encode_segment_block(
-                &state.mac,
-                shard,
-                generation,
-                i as u32,
-                blocks.len() as u32,
-                &payload[start..end],
-            );
-            self.fs.with_rng(|rng| {
-                self.fs
-                    .codec()
-                    .write_sealed(self.fs.device(), b, &state.key, &plain, rng)
-            })?;
+        let plains: Vec<Vec<u8>> = (0..blocks.len())
+            .map(|i| {
+                let start = (i * per).min(payload.len());
+                let end = ((i + 1) * per).min(payload.len());
+                encode_segment_block(
+                    &state.mac,
+                    shard,
+                    generation,
+                    i as u32,
+                    blocks.len() as u32,
+                    &payload[start..end],
+                )
+            })
+            .collect();
+        // One IV per block, drawn in block order under one DRBG acquisition,
+        // then one multi-lane seal; the writes follow in block order.
+        let codec = self.fs.codec();
+        let mut sealed = self.fs.with_rng(|rng| {
+            plains
+                .iter()
+                .map(|plain| {
+                    let mut iv = [0u8; IV_SIZE];
+                    rng.fill_bytes(&mut iv);
+                    codec.stage(&iv, plain)
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })?;
+        codec.seal_batch(&state.key, sealed.iter_mut().map(Vec::as_mut_slice))?;
+        for (&b, block) in blocks.iter().zip(&sealed) {
+            self.fs
+                .device()
+                .write_block(b, block)
+                .map_err(FsError::from)?;
         }
         Ok(())
     }

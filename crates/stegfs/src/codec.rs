@@ -16,7 +16,7 @@
 //! snapshot-diffing attacker cannot tell it apart from a genuine data update.
 
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{AesScheduleCache, CbcCipher, HashDrbg, Key256};
+use stegfs_crypto::{AesScheduleCache, CbcCipher, CbcLane, HashDrbg, Key256};
 
 use crate::error::FsError;
 use crate::layout::IV_SIZE;
@@ -58,13 +58,24 @@ impl BlockCodec {
 
     /// Seal `plaintext` (at most `data_field_len` bytes; shorter inputs are
     /// zero-padded) into a full physical block under `key`, using a fresh IV
-    /// drawn from `rng`.
+    /// drawn from `rng`. The one-block case of [`BlockCodec::seal_batch`].
     pub fn seal(
         &self,
         key: &Key256,
         plaintext: &[u8],
         rng: &mut HashDrbg,
     ) -> Result<Vec<u8>, FsError> {
+        let mut iv = [0u8; IV_SIZE];
+        rng.fill_bytes(&mut iv);
+        let mut block = self.stage(&iv, plaintext)?;
+        self.seal_batch(key, [block.as_mut_slice()])?;
+        Ok(block)
+    }
+
+    /// Lay `plaintext` (at most `data_field_len` bytes; shorter inputs are
+    /// zero-padded) out as an unsealed physical block with `iv` in its IV
+    /// field, ready for [`BlockCodec::seal_batch`].
+    pub fn stage(&self, iv: &[u8; IV_SIZE], plaintext: &[u8]) -> Result<Vec<u8>, FsError> {
         if plaintext.len() > self.data_field_len() {
             return Err(FsError::Cipher(format!(
                 "plaintext of {} bytes exceeds data field of {} bytes",
@@ -73,13 +84,39 @@ impl BlockCodec {
             )));
         }
         let mut block = vec![0u8; self.block_size];
-        let mut iv = [0u8; IV_SIZE];
-        rng.fill_bytes(&mut iv);
-        block[..IV_SIZE].copy_from_slice(&iv);
+        block[..IV_SIZE].copy_from_slice(iv);
         block[IV_SIZE..IV_SIZE + plaintext.len()].copy_from_slice(plaintext);
-        let cbc = CbcCipher::new(self.schedules.get(key));
-        cbc.encrypt_in_place(&iv, &mut block[IV_SIZE..])?;
         Ok(block)
+    }
+
+    /// Seal staged physical blocks in place under `key`. Each block holds
+    /// its caller-drawn IV in the IV field and its plaintext in the data
+    /// field ([`BlockCodec::stage`]); every data field is CBC-encrypted under
+    /// its own IV, all of them in one multi-lane cipher call so independent
+    /// chains overlap in the AES pipeline. The result is byte-identical to
+    /// sealing the blocks one at a time with the same IVs. A block of the
+    /// wrong size fails the whole batch before anything is encrypted.
+    pub fn seal_batch<'a>(
+        &self,
+        key: &Key256,
+        blocks: impl IntoIterator<Item = &'a mut [u8]>,
+    ) -> Result<(), FsError> {
+        let mut lanes = Vec::new();
+        for block in blocks {
+            if block.len() != self.block_size {
+                return Err(FsError::Cipher(format!(
+                    "staged block of {} bytes, expected {}",
+                    block.len(),
+                    self.block_size
+                )));
+            }
+            let (iv, data) = block.split_at_mut(IV_SIZE);
+            let iv: &[u8; IV_SIZE] = (&*iv).try_into().expect("IV field is IV_SIZE bytes");
+            lanes.push(CbcLane { iv, data });
+        }
+        let cbc = CbcCipher::new(self.schedules.get(key));
+        cbc.encrypt_lanes(&mut lanes)?;
+        Ok(())
     }
 
     /// Open a physical block under `key`, returning the full plaintext data
@@ -295,6 +332,53 @@ mod tests {
         dev_a.read_block(2, &mut a).unwrap();
         dev_b.read_block(2, &mut b).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn batch_seal_is_byte_identical_to_sequential_seals() {
+        // Caller-drawn IVs in the same order as one `seal` per block must
+        // give exactly the blocks `seal` gives, and leave the DRBG in the
+        // same state — the level rebuild and the registry rely on both.
+        let c = codec();
+        for n in [1usize, 2, 3, 7, 8, 9, 17] {
+            let plaintexts: Vec<Vec<u8>> = (0..n)
+                .map(|i| vec![i as u8 ^ 0x3c; 1 + i * 97 % c.data_field_len()])
+                .collect();
+
+            let mut rng_a = HashDrbg::from_u64(42);
+            let sequential: Vec<Vec<u8>> = plaintexts
+                .iter()
+                .map(|p| c.seal(&key(6), p, &mut rng_a).unwrap())
+                .collect();
+
+            let mut rng_b = HashDrbg::from_u64(42);
+            let mut batched: Vec<Vec<u8>> = plaintexts
+                .iter()
+                .map(|p| {
+                    let mut iv = [0u8; IV_SIZE];
+                    rng_b.fill_bytes(&mut iv);
+                    c.stage(&iv, p).unwrap()
+                })
+                .collect();
+            c.seal_batch(&key(6), batched.iter_mut().map(Vec::as_mut_slice))
+                .unwrap();
+
+            assert_eq!(batched, sequential, "{n} blocks");
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "DRBG state after {n}");
+        }
+    }
+
+    #[test]
+    fn batch_seal_rejects_a_wrong_sized_block_before_encrypting() {
+        let c = codec();
+        let mut good = c.stage(&[1u8; IV_SIZE], b"payload").unwrap();
+        let staged = good.clone();
+        let mut short = vec![0u8; 4080];
+        assert!(matches!(
+            c.seal_batch(&key(1), [good.as_mut_slice(), short.as_mut_slice()]),
+            Err(FsError::Cipher(_))
+        ));
+        assert_eq!(good, staged, "nothing sealed on a rejected batch");
     }
 
     #[test]
