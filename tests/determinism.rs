@@ -427,3 +427,67 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
         "reopened registry drove a different I/O schedule than the fresh build"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Figure test beds: the StegHide and StegHide* systems of fig10–fig11 and
+// overhead_model, replayed on a small volume. The double-run tests above only
+// compare two runs of the same build; these constants pin the figures
+// themselves, so a refactor of either agent that moves a single simulated
+// microsecond or Figure 6 iteration fails here.
+
+use stegfs_bench::harness::{BuildSpec, SystemKind, TestBed};
+
+/// Simulated time and agent counters after a fixed read/update sequence.
+fn figure_bed_trace(kind: SystemKind) -> (u64, steghide::UpdateStats) {
+    let spec = BuildSpec::new(4096, vec![32, 16], 13).with_utilisation(0.3);
+    let mut bed = TestBed::build(kind, &spec);
+    bed.read_whole_file(0);
+    bed.update_blocks(0, 2, 6);
+    bed.read_whole_file(1);
+    bed.update_blocks(1, 0, 5);
+    bed.update_blocks(0, 20, 4);
+    bed.read_whole_file(0);
+    (
+        bed.clock().now_us(),
+        bed.agent_stats().expect("agent system"),
+    )
+}
+
+#[test]
+fn figure_beds_replay_pinned_time_and_counters() {
+    use steghide::UpdateStats;
+
+    let pinned = [
+        (
+            SystemKind::StegHide,
+            1_483_194,
+            UpdateStats {
+                data_updates: 15,
+                dummy_updates: 6,
+                relocations: 15,
+                in_place: 0,
+                iterations: 21,
+                block_reads: 21,
+                block_writes: 21,
+            },
+        ),
+        (
+            SystemKind::StegHideStar,
+            1_572_808,
+            UpdateStats {
+                data_updates: 15,
+                dummy_updates: 12,
+                relocations: 15,
+                in_place: 0,
+                iterations: 27,
+                block_reads: 27,
+                block_writes: 27,
+            },
+        ),
+    ];
+    for (kind, now_us, stats) in pinned {
+        let (got_us, got_stats) = figure_bed_trace(kind);
+        assert_eq!(got_us, now_us, "{kind:?}: simulated time moved");
+        assert_eq!(got_stats, stats, "{kind:?}: agent counters moved");
+    }
+}
