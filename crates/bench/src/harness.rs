@@ -10,7 +10,9 @@ use stegfs_blockdev::sim::{DiskModel, SimClock, SimDevice};
 use stegfs_blockdev::MemDevice;
 use stegfs_crypto::{HashDrbg, Key256};
 use stegfs_oblivious::{ObliviousConfig, ObliviousStats, ObliviousStore};
-use steghide::{AgentConfig, FileId, NonVolatileAgent, SessionId, UserCredential, VolatileAgent};
+use steghide::{
+    AgentConfig, ConcurrentVolatileAgent, FileId, NonVolatileAgent, SessionId, UserCredential,
+};
 
 /// Block size used by every experiment (the paper's Table 2).
 pub const BLOCK_SIZE: usize = 4096;
@@ -227,7 +229,7 @@ impl BuildSpec {
 
 enum Inner {
     Volatile {
-        agent: VolatileAgent<Sim>,
+        agent: ConcurrentVolatileAgent<Sim>,
         session: SessionId,
         files: Vec<FileId>,
     },
@@ -309,17 +311,16 @@ impl TestBed {
                 Inner::NonVolatile { agent, files }
             }
             SystemKind::StegHide => {
-                // Provision, then restart the agent and log a user in — the
-                // paper's Construction 2 deployment model.
-                let mut setup =
-                    VolatileAgent::format(device, fs_cfg, AgentConfig::default(), spec.seed)
-                        .expect("format StegHide volume");
+                // Provision through the substrate, then start the agent with
+                // zero knowledge and log a user in — the paper's Construction
+                // 2 deployment model.
+                let (fs, mut map) =
+                    StegFs::format(device, fs_cfg, spec.seed).expect("format StegHide volume");
                 let mut credentials: Vec<UserCredential> = Vec::new();
                 for (i, &blocks) in spec.file_blocks.iter().enumerate() {
                     let fak = FileAccessKey::from_passphrase(&format!("user-file-{i}"));
                     let path = format!("/bench/file{i}");
-                    setup
-                        .provision_file_sparse(&path, &fak, blocks * content_per_block)
+                    fs.create_file_sparse(&mut map, &path, &fak, blocks * content_per_block)
                         .expect("provision workload file");
                     credentials.push(UserCredential::new(path, fak));
                 }
@@ -337,8 +338,7 @@ impl TestBed {
                     let chunk = remaining_data.min(1500);
                     let fak = FileAccessKey::from_passphrase(&format!("filler-{filler_idx}"));
                     let path = format!("/bench/filler{filler_idx}");
-                    setup
-                        .provision_file_sparse(&path, &fak, chunk * content_per_block)
+                    fs.create_file_sparse(&mut map, &path, &fak, chunk * content_per_block)
                         .expect("provision filler file");
                     credentials.push(UserCredential::new(path, fak));
                     remaining_data -= chunk;
@@ -351,18 +351,21 @@ impl TestBed {
                     let fak = FileAccessKey::from_passphrase(&format!("dummy-{dummy_idx}"))
                         .without_content_key();
                     let path = format!("/bench/dummy{dummy_idx}");
-                    setup
-                        .provision_dummy_file_sparse(&path, &fak, chunk)
+                    fs.create_dummy_file_sparse(&mut map, &path, &fak, chunk)
                         .expect("provision dummy file");
                     credentials.push(UserCredential::new(path, fak));
                     dummy_pool -= chunk;
                     dummy_idx += 1;
                 }
 
-                let device = setup.into_device();
-                let mut agent =
-                    VolatileAgent::mount(device, AgentConfig::default(), spec.seed ^ 0xabc)
-                        .expect("mount StegHide volume");
+                // One shard: a test bed serves one thread.
+                let agent = ConcurrentVolatileAgent::mount(
+                    fs.into_device(),
+                    AgentConfig::default(),
+                    spec.seed ^ 0xabc,
+                    1,
+                )
+                .expect("mount StegHide volume");
                 let session = agent.login("bench-user", &credentials).expect("login");
                 let files = agent.session_files(session).expect("session files")
                     [..spec.file_blocks.len()]
@@ -489,9 +492,12 @@ impl TestBed {
                 session,
                 files,
             } => {
-                agent
-                    .update_range_fill(*session, files[file_idx], start, count, 0xAB)
-                    .expect("update range");
+                let payload = vec![0xABu8; agent.fs().content_bytes_per_block()];
+                for b in start..start + count {
+                    agent
+                        .update_block(*session, files[file_idx], b, &payload)
+                        .expect("update block");
+                }
             }
             Inner::NonVolatile { agent, files } => {
                 agent

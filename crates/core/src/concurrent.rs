@@ -1,11 +1,12 @@
 //! The concurrent serving layer: a lock-decomposed agent that serves many
 //! users' reads, updates and dummy updates from shared references.
 //!
-//! The sequential [`AgentCore`](crate::update) owns everything mutably, so a
-//! multi-user driver can only interleave block steps cooperatively on one
-//! thread. [`ConcurrentAgent`] decomposes that single borrow into independent
-//! locks so the paper's construction — many users whose traffic blends into
-//! one indistinguishable stream — can actually be served by many threads:
+//! The sequential [`NonVolatileAgent`](crate::NonVolatileAgent) owns
+//! everything mutably, so a multi-user driver can only interleave block
+//! steps cooperatively on one thread. [`ConcurrentAgent`] decomposes that
+//! single borrow into independent locks so the paper's construction — many
+//! users whose traffic blends into one indistinguishable stream — can
+//! actually be served by many threads:
 //!
 //! * the **block map** is a [`ShardedBlockMap`]: reclassifications on
 //!   different shards never contend, and relocation targets are claimed

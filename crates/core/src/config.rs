@@ -10,7 +10,7 @@ pub struct AgentConfig {
     pub max_update_iterations: u32,
     /// Number of dummy updates issued per idle tick
     /// ([`crate::NonVolatileAgent::tick_idle`] /
-    /// [`crate::VolatileAgent::tick_idle`]).
+    /// [`crate::ConcurrentVolatileAgent::tick_idle`]).
     pub dummy_updates_per_tick: u32,
     /// Whether real updates relocate the block (Figure 6). Disabling this
     /// keeps the dummy-update stream but rewrites data in place; it exists

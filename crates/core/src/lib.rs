@@ -22,14 +22,18 @@
 //! * [`NonVolatileAgent`] (the paper's **StegHide\***, Construction 1): the
 //!   agent persistently holds one volume-wide encryption key plus the dummy
 //!   file's access key, giving it a complete view of the volume at all times.
-//! * [`VolatileAgent`] (the paper's **StegHide**, Construction 2): the agent
-//!   keeps *no* persistent secrets. Users hold the FAKs of their hidden files
-//!   *and* of their own dummy files and disclose them only at login; the
-//!   agent's view — and therefore the region of the disk it touches — grows
-//!   as users log in and is forgotten when the agent restarts.
+//! * [`ConcurrentVolatileAgent`] (the paper's **StegHide**, Construction 2):
+//!   the agent keeps *no* persistent secrets. Users hold the FAKs of their
+//!   hidden files *and* of their own dummy files and disclose them only at
+//!   login; the agent's view — and therefore the region of the disk it
+//!   touches — grows as users log in and is forgotten when the agent
+//!   restarts. Its volumes are provisioned directly through
+//!   [`stegfs_base::StegFs`] before the agent mounts them.
 //!
-//! The agents drive the [`stegfs_base::StegFs`] substrate; read-traffic hiding
-//! is provided separately by the `stegfs-oblivious` crate.
+//! [`ConcurrentAgent`] serves Construction 1 from shared references for
+//! multi-threaded front ends. The agents drive the [`stegfs_base::StegFs`]
+//! substrate; read-traffic hiding is provided separately by the
+//! `stegfs-oblivious` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +45,6 @@ mod nonvolatile;
 mod registry;
 mod stats;
 mod update;
-mod volatile;
 mod volatile_concurrent;
 
 pub use concurrent::{ConcurrentAgent, VictimSource};
@@ -51,5 +54,4 @@ pub use nonvolatile::NonVolatileAgent;
 pub use registry::{BlockRole, FileId, Registry};
 pub use stats::{SharedUpdateStats, UpdateStats};
 pub use update::UpdateOutcome;
-pub use volatile::{SessionId, UserCredential, VolatileAgent};
-pub use volatile_concurrent::ConcurrentVolatileAgent;
+pub use volatile_concurrent::{ConcurrentVolatileAgent, SessionId, UserCredential};

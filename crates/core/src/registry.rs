@@ -203,6 +203,36 @@ impl Registry {
         true
     }
 
+    /// Hand `blocks` over from the dummy files that hold them as content (a
+    /// new file was just created from them). Each donor's cached header drops
+    /// the blocks, shrinks to `bytes_per_block` bytes per remaining block and
+    /// becomes dirty; its reverse index is rebuilt in place, so the donor
+    /// keeps its id. Blocks that are not dummy-file content are left alone.
+    pub fn donate_dummy_blocks(&mut self, blocks: &[BlockId], bytes_per_block: u64) {
+        let mut donors = Vec::new();
+        for &block in blocks {
+            let Some((owner, BlockRole::Content(_))) = self.owner_of(block) else {
+                continue;
+            };
+            let Some(file) = self.files.get_mut(&owner).filter(|f| f.is_dummy()) else {
+                continue;
+            };
+            file.header.blocks.retain(|&b| b != block);
+            self.remove_block(block);
+            if !donors.contains(&owner) {
+                donors.push(owner);
+            }
+        }
+        for id in donors {
+            let file = self.files.get_mut(&id).expect("donor is registered");
+            file.header.file_size = file.header.blocks.len() as u64 * bytes_per_block;
+            file.dirty = true;
+            for (i, &b) in file.header.blocks.iter().enumerate() {
+                self.owners.insert(b, (id, BlockRole::Content(i as u64)));
+            }
+        }
+    }
+
     /// Iterate over ids of registered files that are dummies.
     pub fn dummy_file_ids(&self) -> Vec<FileId> {
         let mut ids: Vec<_> = self
@@ -300,6 +330,26 @@ mod tests {
         assert_eq!(reg.owner_of(42), Some((data, BlockRole::Content(0))));
         assert_eq!(reg.owner_of(20), Some((dummy, BlockRole::Content(2))));
         assert_eq!(reg.dummy_file_ids(), vec![dummy]);
+    }
+
+    #[test]
+    fn donated_dummy_blocks_leave_a_reindexed_donor() {
+        let mut reg = Registry::new();
+        let data = reg.register(open_file("/data", 10, vec![20], false));
+        let dummy = reg.register(open_file("/dummy", 30, vec![40, 41, 42, 43], true));
+        // 20 is data content and 30 a dummy header: neither is donated.
+        reg.donate_dummy_blocks(&[41, 20, 30, 40], 100);
+        let donor = reg.get(dummy).unwrap();
+        assert_eq!(donor.header.blocks, vec![42, 43]);
+        assert_eq!(donor.header.file_size, 200);
+        assert!(donor.dirty);
+        assert_eq!(reg.owner_of(42), Some((dummy, BlockRole::Content(0))));
+        assert_eq!(reg.owner_of(43), Some((dummy, BlockRole::Content(1))));
+        assert_eq!(reg.owner_of(40), None);
+        assert_eq!(reg.owner_of(20), Some((data, BlockRole::Content(0))));
+        assert_eq!(reg.owner_of(30), Some((dummy, BlockRole::Header)));
+        assert_eq!(reg.universe_len(), 5);
+        assert_eq!(reg.dirty_file_ids(), vec![dummy]);
     }
 
     #[test]

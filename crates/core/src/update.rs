@@ -1,19 +1,11 @@
-//! The shared update machinery: dummy updates and the Figure 6 algorithm.
+//! The Figure 6 update algorithm's outcome, shared by every agent.
 //!
-//! Both agent constructions drive the same [`AgentCore`]; they differ only in
-//! how blocks are keyed (one global key versus per-file keys) and in which
-//! blocks are *visible* (the whole volume versus the blocks of files disclosed
-//! by logged-in users). Those two choices are captured by
-//! [`AgentCore::global_key`] and the candidate-selection strategy.
-
-use stegfs_base::{BlockClass, BlockMap, FileKind, OpenFile, StegFs};
-use stegfs_blockdev::BlockDevice;
-use stegfs_crypto::{HashDrbg, Key256};
-
-use crate::config::AgentConfig;
-use crate::error::AgentError;
-use crate::registry::{BlockRole, FileId, Registry};
-use crate::stats::UpdateStats;
+//! Each agent runs the algorithm over its own view of the volume: the
+//! non-volatile agents draw candidates from the whole volume and relocate
+//! into abandoned blocks, the volatile agent draws from the blocks of
+//! disclosed files and relocates into disclosed dummy-file blocks. The tests
+//! below check the algorithm's properties on Construction 1
+//! ([`NonVolatileAgent`](crate::NonVolatileAgent)).
 
 /// What a data update ended up doing, as reported to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,392 +35,96 @@ impl UpdateOutcome {
     }
 }
 
-/// How a given block must be "dummy updated".
-enum ResealAction {
-    /// Decrypt under this key, refresh the IV, re-encrypt, write back.
-    Key(Key256),
-    /// The block only ever held random bytes: read it (to keep the I/O
-    /// signature identical) and overwrite it with fresh random bytes.
-    Random,
-}
-
-/// The agent's shared state and update logic.
-pub(crate) struct AgentCore<D> {
-    pub(crate) fs: StegFs<D>,
-    pub(crate) map: BlockMap,
-    pub(crate) registry: Registry,
-    pub(crate) cfg: AgentConfig,
-    pub(crate) stats: UpdateStats,
-    pub(crate) rng: HashDrbg,
-    /// `Some` for the non-volatile agent (Construction 1): every block on the
-    /// volume is encrypted under this one key. `None` for the volatile agent
-    /// (Construction 2): keys are per file and found through the registry.
-    pub(crate) global_key: Option<Key256>,
-    /// Reusable block-sized buffer for accounting reads, so the per-iteration
-    /// Figure 6 loop does not allocate.
-    scratch: Vec<u8>,
-}
-
-impl<D: BlockDevice> AgentCore<D> {
-    pub(crate) fn new(
-        fs: StegFs<D>,
-        map: BlockMap,
-        cfg: AgentConfig,
-        rng_seed: u64,
-        global_key: Option<Key256>,
-    ) -> Self {
-        Self {
-            fs,
-            map,
-            registry: Registry::new(),
-            cfg,
-            stats: UpdateStats::default(),
-            rng: HashDrbg::new(&rng_seed.to_be_bytes()),
-            global_key,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Uniformly choose the next candidate block `B2`.
-    ///
-    /// * Non-volatile agent: any payload block of the volume (it holds the
-    ///   key for all of them).
-    /// * Volatile agent: any block of a disclosed file — the agent's visible
-    ///   universe (Section 4.2.2).
-    fn pick_candidate(&mut self) -> Option<u64> {
-        if self.global_key.is_some() {
-            Some(self.fs.random_payload_block())
-        } else {
-            self.registry.random_known_block(&mut self.rng)
-        }
-    }
-
-    /// Determine how to dummy-update `block`.
-    fn reseal_action(&self, block: u64) -> Option<ResealAction> {
-        if let Some(key) = self.global_key {
-            return Some(ResealAction::Key(key));
-        }
-        let (fid, role) = self.registry.owner_of(block)?;
-        let file = self.registry.get(fid)?;
-        match role {
-            BlockRole::Header | BlockRole::Indirect(_) => {
-                Some(ResealAction::Key(*file.fak.header_key()))
-            }
-            BlockRole::Content(_) => match (file.header.kind, file.fak.content_key()) {
-                (FileKind::Data, Some(key)) => Some(ResealAction::Key(*key)),
-                // Dummy-file content (or a data file whose content key was
-                // withheld): the bytes are meaningless, rewrite them randomly.
-                _ => Some(ResealAction::Random),
-            },
-        }
-    }
-
-    /// The key under which new content for `file` is sealed.
-    fn content_key_for(&self, file: &OpenFile) -> Result<Key256, AgentError> {
-        if let Some(key) = self.global_key {
-            return Ok(key);
-        }
-        file.fak
-            .content_key()
-            .copied()
-            .ok_or(AgentError::Fs(stegfs_base::FsError::NoContentKey))
-    }
-
-    /// Perform one dummy update on `block` (read, refresh IV, re-encrypt /
-    /// re-randomise, write back) and account for its two I/Os.
-    fn dummy_update_block(&mut self, block: u64) -> Result<(), AgentError> {
-        match self.reseal_action(block) {
-            Some(ResealAction::Key(key)) => {
-                self.fs.reseal_block(block, &key)?;
-            }
-            Some(ResealAction::Random) | None => {
-                // Read first so the request signature (read then write of the
-                // same block) matches every other dummy update.
-                let block_size = self.fs.codec().block_size();
-                self.scratch.resize(block_size, 0);
-                self.fs.device().read_block(block, &mut self.scratch)?;
-                self.fs.randomize_block(block)?;
-            }
-        }
-        self.stats.block_reads += 1;
-        self.stats.block_writes += 1;
-        self.stats.dummy_updates += 1;
-        Ok(())
-    }
-
-    /// Issue one idle-time dummy update on a randomly selected block
-    /// (Section 4.1.3). Returns the block touched.
-    pub(crate) fn dummy_update_once(&mut self) -> Result<u64, AgentError> {
-        let block = self.pick_candidate().ok_or(AgentError::NothingToUpdate)?;
-        self.dummy_update_block(block)?;
-        Ok(block)
-    }
-
-    /// Whether `block` may serve as the relocation target of a data update.
-    ///
-    /// * Non-volatile agent: any block the map classifies as dummy.
-    /// * Volatile agent: a content block of a *disclosed dummy file* (the
-    ///   user's own decoys), so that every block remains accounted to a file
-    ///   whose header the agent can rewrite.
-    fn swap_target(&self, block: u64) -> Option<SwapTarget> {
-        if self.global_key.is_some() {
-            if self.map.class(block) == BlockClass::Dummy {
-                return Some(SwapTarget::Abandoned);
-            }
-            return None;
-        }
-        let (fid, role) = self.registry.owner_of(block)?;
-        let file = self.registry.get(fid)?;
-        match (file.header.kind, role) {
-            (FileKind::Dummy, BlockRole::Content(idx)) => Some(SwapTarget::DummyFile {
-                file: fid,
-                index: idx,
-            }),
-            _ => None,
-        }
-    }
-
-    /// The Figure 6 update algorithm: update content block `index` of file
-    /// `id` to contain `payload`, relocating it to a uniformly random
-    /// position.
-    pub(crate) fn update_content_block(
-        &mut self,
-        id: FileId,
-        index: u64,
-        payload: &[u8],
-    ) -> Result<UpdateOutcome, AgentError> {
-        let max_payload = self.fs.content_bytes_per_block();
-        if payload.len() > max_payload {
-            return Err(AgentError::PayloadTooLarge {
-                got: payload.len(),
-                max: max_payload,
-            });
-        }
-        let (b1, content_key) = {
-            let file = self.registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-            let b1 = *file
-                .header
-                .blocks
-                .get(index as usize)
-                .ok_or(AgentError::Fs(stegfs_base::FsError::OutOfBounds {
-                    index,
-                    len: file.header.num_blocks(),
-                }))?;
-            (b1, self.content_key_for(file)?)
-        };
-
-        if !self.cfg.relocate_on_update {
-            // Ablation mode: dummy-update stream only, data rewritten in
-            // place. This is what the paper argues is insufficient.
-            self.read_block_for_accounting(b1)?;
-            self.write_sealed_content(b1, &content_key, payload)?;
-            self.stats.data_updates += 1;
-            self.stats.iterations += 1;
-            self.stats.in_place += 1;
-            return Ok(UpdateOutcome::InPlace { block: b1 });
-        }
-
-        for _attempt in 0..self.cfg.max_update_iterations {
-            self.stats.iterations += 1;
-            let b2 = self.pick_candidate().ok_or(AgentError::NoDummyBlocks)?;
-
-            if b2 == b1 {
-                // Figure 6, first branch: update in place.
-                self.read_block_for_accounting(b1)?;
-                self.write_sealed_content(b1, &content_key, payload)?;
-                self.stats.data_updates += 1;
-                self.stats.in_place += 1;
-                return Ok(UpdateOutcome::InPlace { block: b1 });
-            }
-
-            if let Some(target) = self.swap_target(b2) {
-                // Figure 6, second branch: substitute B2 for B1.
-                self.read_block_for_accounting(b1)?;
-                self.write_sealed_content(b2, &content_key, payload)?;
-
-                match target {
-                    SwapTarget::Abandoned => {
-                        self.map.set(b2, BlockClass::Data);
-                        self.map.set(b1, BlockClass::Dummy);
-                        self.registry.relocate_content_block(id, index, b1, b2);
-                    }
-                    SwapTarget::DummyFile {
-                        file: dummy_fid,
-                        index: dummy_idx,
-                    } => {
-                        self.map.set(b2, BlockClass::Data);
-                        self.map.set(b1, BlockClass::Dummy);
-                        self.registry
-                            .swap_with_dummy(id, index, b1, dummy_fid, dummy_idx, b2);
-                    }
-                }
-                self.stats.data_updates += 1;
-                self.stats.relocations += 1;
-                return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
-            }
-
-            // Figure 6, third branch: B2 holds data — dummy-update it and try
-            // again.
-            self.dummy_update_block(b2)?;
-        }
-
-        Err(AgentError::UpdateRetriesExhausted {
-            attempts: self.cfg.max_update_iterations,
-        })
-    }
-
-    fn read_block_for_accounting(&mut self, block: u64) -> Result<(), AgentError> {
-        let block_size = self.fs.codec().block_size();
-        self.scratch.resize(block_size, 0);
-        self.fs.device().read_block(block, &mut self.scratch)?;
-        self.stats.block_reads += 1;
-        Ok(())
-    }
-
-    fn write_sealed_content(
-        &mut self,
-        block: u64,
-        key: &Key256,
-        payload: &[u8],
-    ) -> Result<(), AgentError> {
-        self.fs.with_rng(|rng| {
-            self.fs
-                .codec()
-                .write_sealed(self.fs.device(), block, key, payload, rng)
-        })?;
-        self.stats.block_writes += 1;
-        Ok(())
-    }
-
-    /// Write back the cached headers of every dirty registered file.
-    pub(crate) fn flush_dirty_headers(&mut self) -> Result<(), AgentError> {
-        for id in self.registry.dirty_file_ids() {
-            self.save_file(id)?;
-        }
-        Ok(())
-    }
-
-    /// Write back the cached header of one file.
-    pub(crate) fn save_file(&mut self, id: FileId) -> Result<(), AgentError> {
-        let fs = &self.fs;
-        let file = self
-            .registry
-            .get_mut(id)
-            .ok_or(AgentError::UnknownFile(id))?;
-        fs.save(file)?;
-        Ok(())
-    }
-
-    /// Read one content block of a registered file.
-    pub(crate) fn read_content_block(&self, id: FileId, index: u64) -> Result<Vec<u8>, AgentError> {
-        let file = self.registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        Ok(self.fs.read_content_block(file, index)?)
-    }
-
-    /// Read a whole registered file.
-    pub(crate) fn read_file(&self, id: FileId) -> Result<Vec<u8>, AgentError> {
-        let file = self.registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        Ok(self.fs.read_file(file)?)
-    }
-}
-
-/// Classification of a viable relocation target.
-enum SwapTarget {
-    /// An abandoned block (non-volatile agent's view).
-    Abandoned,
-    /// Content block `index` of disclosed dummy file `file` (volatile agent).
-    DummyFile { file: FileId, index: u64 },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_base::{FileAccessKey, StegFsConfig};
+    use crate::{AgentConfig, AgentError, FileId, NonVolatileAgent};
+    use stegfs_base::{BlockClass, StegFsConfig};
     use stegfs_blockdev::MemDevice;
+    use stegfs_crypto::Key256;
 
-    /// Build a construction-1-style core (global key) over a small volume
-    /// with one registered file.
-    fn test_core(num_blocks: u64, cfg: AgentConfig) -> (AgentCore<MemDevice>, FileId, Vec<u8>) {
-        let dev = MemDevice::new(num_blocks, 512);
-        let (fs, map) =
-            StegFs::format(dev, StegFsConfig::default().with_block_size(512), 11).unwrap();
-        let global_key = Key256::from_passphrase("agent global key");
-        let mut core = AgentCore::new(fs, map, cfg, 99, Some(global_key));
+    const USER: &str = "user location secret";
 
-        let fak = FileAccessKey::from_parts(
-            Key256::from_passphrase("user location secret"),
-            global_key,
-            Some(global_key),
-        );
+    /// A Construction 1 agent over a small volume with one four-block file.
+    fn test_agent(
+        num_blocks: u64,
+        cfg: AgentConfig,
+    ) -> (NonVolatileAgent<MemDevice>, FileId, Vec<u8>) {
+        let mut agent = NonVolatileAgent::format(
+            MemDevice::new(num_blocks, 512),
+            StegFsConfig::default().with_block_size(512),
+            cfg,
+            Key256::from_passphrase("agent global key"),
+            11,
+        )
+        .unwrap();
         let content = vec![0x42u8; 496 * 4];
-        let file = core
-            .fs
-            .create_file(&mut core.map, "/t", &fak, &content)
+        let id = agent
+            .create_file(&Key256::from_passphrase(USER), "/t", &content)
             .unwrap();
-        let id = core.registry.register(file);
-        (core, id, content)
+        (agent, id, content)
     }
 
     #[test]
     fn in_place_and_relocated_updates_preserve_readability() {
-        let (mut core, id, content) = test_core(256, AgentConfig::default());
-        let per = core.fs.content_bytes_per_block();
+        let (mut agent, id, content) = test_agent(256, AgentConfig::default());
+        let per = agent.fs().content_bytes_per_block();
         let new_block = vec![0x99u8; per];
-        let outcome = core.update_content_block(id, 2, &new_block).unwrap();
+        let outcome = agent.update_block(id, 2, &new_block).unwrap();
         // Whatever branch was taken, the file now reads back with the new
         // block in position 2.
-        let read = core.read_file(id).unwrap();
+        let read = agent.read_file(id).unwrap();
         assert_eq!(&read[..per], &content[..per]);
         assert_eq!(&read[2 * per..3 * per], &new_block[..]);
-        match outcome {
-            UpdateOutcome::InPlace { block } => {
-                assert_eq!(core.registry.get(id).unwrap().header.blocks[2], block);
-            }
-            UpdateOutcome::Relocated { from, to } => {
-                assert_ne!(from, to);
-                assert_eq!(core.registry.get(id).unwrap().header.blocks[2], to);
-                assert_eq!(core.map.class(from), BlockClass::Dummy);
-                assert_eq!(core.map.class(to), BlockClass::Data);
-            }
+        assert_eq!(
+            agent.block_map().class(outcome.current_block()),
+            BlockClass::Data
+        );
+        if let UpdateOutcome::Relocated { from, to } = outcome {
+            assert_ne!(from, to);
+            assert_eq!(agent.block_map().class(from), BlockClass::Dummy);
         }
-        assert_eq!(core.stats.data_updates, 1);
-        assert!(core.stats.iterations >= 1);
+        assert_eq!(agent.stats().data_updates, 1);
+        assert!(agent.stats().iterations >= 1);
     }
 
     #[test]
     fn relocation_is_overwhelmingly_likely_at_low_utilisation() {
         // With ~3 % utilisation, the probability of 50 consecutive in-place
         // outcomes is negligible; expect at least one relocation.
-        let (mut core, id, _) = test_core(512, AgentConfig::default());
-        let per = core.fs.content_bytes_per_block();
+        let (mut agent, id, _) = test_agent(512, AgentConfig::default());
+        let per = agent.fs().content_bytes_per_block();
         let mut relocated = 0;
         for i in 0..50u64 {
             let payload = vec![i as u8; per];
             if matches!(
-                core.update_content_block(id, i % 4, &payload).unwrap(),
+                agent.update_block(id, i % 4, &payload).unwrap(),
                 UpdateOutcome::Relocated { .. }
             ) {
                 relocated += 1;
             }
         }
         assert!(relocated > 40, "relocated only {relocated} of 50");
-        assert_eq!(core.stats.data_updates, 50);
+        assert_eq!(agent.stats().data_updates, 50);
         // After saving, the file still reads correctly from a fresh open.
-        core.flush_dirty_headers().unwrap();
-        let file = core.registry.get(id).unwrap().clone();
-        let reopened = core.fs.open_file(&file.fak, "/t").unwrap();
-        assert_eq!(reopened.header.blocks, file.header.blocks);
+        agent.flush().unwrap();
+        let reopened = agent
+            .open_file(&Key256::from_passphrase(USER), "/t")
+            .unwrap();
+        assert_eq!(
+            agent.read_file(reopened).unwrap(),
+            agent.read_file(id).unwrap()
+        );
     }
 
     #[test]
     fn iterations_track_figure6_retries() {
-        let (mut core, id, _) = test_core(256, AgentConfig::default());
-        let per = core.fs.content_bytes_per_block();
+        let (mut agent, id, _) = test_agent(256, AgentConfig::default());
+        let per = agent.fs().content_bytes_per_block();
         for i in 0..20u64 {
-            core.update_content_block(id, 0, &vec![i as u8; per])
-                .unwrap();
+            agent.update_block(id, 0, &vec![i as u8; per]).unwrap();
         }
-        let s = core.stats;
+        let s = agent.stats();
         assert_eq!(s.data_updates, 20);
         assert!(s.iterations >= 20);
         // Every iteration costs exactly one read and one write.
@@ -440,52 +136,51 @@ mod tests {
 
     #[test]
     fn ablation_mode_never_relocates() {
-        let (mut core, id, _) = test_core(256, AgentConfig::default().without_relocation());
-        let per = core.fs.content_bytes_per_block();
-        let before = core.registry.get(id).unwrap().header.blocks.clone();
+        let (mut agent, id, _) = test_agent(256, AgentConfig::default().without_relocation());
+        let per = agent.fs().content_bytes_per_block();
+        let mut blocks = Vec::new();
         for i in 0..10u64 {
-            let outcome = core
-                .update_content_block(id, 1, &vec![i as u8; per])
-                .unwrap();
-            assert!(matches!(outcome, UpdateOutcome::InPlace { .. }));
+            match agent.update_block(id, 1, &vec![i as u8; per]).unwrap() {
+                UpdateOutcome::InPlace { block } => blocks.push(block),
+                other => panic!("ablation mode relocated: {other:?}"),
+            }
         }
-        assert_eq!(core.registry.get(id).unwrap().header.blocks, before);
-        assert_eq!(core.stats.relocations, 0);
+        blocks.dedup();
+        assert_eq!(blocks.len(), 1, "the block never moved");
+        assert_eq!(agent.stats().relocations, 0);
     }
 
     #[test]
     fn dummy_updates_do_not_corrupt_data() {
-        let (mut core, id, content) = test_core(256, AgentConfig::default());
-        for _ in 0..200 {
-            core.dummy_update_once().unwrap();
-        }
-        assert_eq!(core.read_file(id).unwrap(), content);
-        assert_eq!(core.stats.dummy_updates, 200);
+        let (mut agent, id, content) = test_agent(256, AgentConfig::default());
+        agent.dummy_updates(200).unwrap();
+        assert_eq!(agent.read_file(id).unwrap(), content);
+        assert_eq!(agent.stats().dummy_updates, 200);
     }
 
     #[test]
     fn oversized_payload_rejected() {
-        let (mut core, id, _) = test_core(256, AgentConfig::default());
-        let per = core.fs.content_bytes_per_block();
+        let (mut agent, id, _) = test_agent(256, AgentConfig::default());
+        let per = agent.fs().content_bytes_per_block();
         assert!(matches!(
-            core.update_content_block(id, 0, &vec![0u8; per + 1]),
+            agent.update_block(id, 0, &vec![0u8; per + 1]),
             Err(AgentError::PayloadTooLarge { .. })
         ));
     }
 
     #[test]
     fn unknown_file_and_index_errors() {
-        let (mut core, id, _) = test_core(256, AgentConfig::default());
+        let (mut agent, id, _) = test_agent(256, AgentConfig::default());
         assert!(matches!(
-            core.update_content_block(id + 100, 0, b"x"),
+            agent.update_block(id + 100, 0, b"x"),
             Err(AgentError::UnknownFile(_))
         ));
         assert!(matches!(
-            core.update_content_block(id, 1000, b"x"),
+            agent.update_block(id, 1000, b"x"),
             Err(AgentError::Fs(stegfs_base::FsError::OutOfBounds { .. }))
         ));
         assert!(matches!(
-            core.read_file(id + 100),
+            agent.read_file(id + 100),
             Err(AgentError::UnknownFile(_))
         ));
     }

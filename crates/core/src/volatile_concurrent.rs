@@ -1,17 +1,27 @@
-//! The concurrent volatile agent: Construction 2 served by many threads.
+//! Construction 2: the volatile agent (the paper's **StegHide**), served by
+//! many threads.
 //!
-//! [`VolatileAgent`](crate::volatile) keeps the paper's StegHide semantics —
-//! zero persistent secrets, per-file keys disclosed at login, a visible
-//! universe that grows and shrinks with sessions — but owns everything
-//! mutably, so one thread serves everyone. This agent joins those semantics
-//! with [`ConcurrentAgent`](crate::concurrent)'s lock decomposition:
+//! Section 4.2: the agent keeps *no* persistent secrets. Each hidden file is
+//! encrypted under its own keys, dummy blocks are organised into per-user
+//! dummy files "of approximately the size of data files", and both kinds of
+//! FAK are disclosed to the agent only when the user logs on. When the agent
+//! starts it has zero knowledge of the volume; its view — and therefore the
+//! region of storage it dummy-updates — grows as users log in, and is
+//! forgotten again at logout or restart.
+//!
+//! Volumes are provisioned before the agent goes live, directly on the
+//! substrate: [`StegFs::format`], then `create_file` / `create_dummy_file`
+//! (or their `_sparse` forms) for each user, then [`StegFs::into_device`]
+//! and [`ConcurrentVolatileAgent::mount`]. The agent joins Construction 2's
+//! semantics with [`ConcurrentAgent`](crate::concurrent)'s lock
+//! decomposition:
 //!
 //! * the **block map** is a [`ShardedBlockMap`] starting all-`Unknown` at
 //!   mount; relocation targets are claimed atomically so two updates cannot
 //!   convert the same disclosed dummy block;
-//! * **login and logout are structural**: they open/forget many files,
-//!   re-classify all their blocks and mutate the registry wholesale, so they
-//!   take the write side of the structural `RwLock` every per-block
+//! * **login, logout and file creation are structural**: they open, forget
+//!   or create files, re-classify all their blocks and mutate the registry
+//!   wholesale, so they take the write side of the structural `RwLock` every per-block
 //!   operation holds for read — a logout can never race a read or update of
 //!   the session's own blocks;
 //! * the **session table is sharded** by session id: ownership checks on
@@ -38,7 +48,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use stegfs_base::{BlockClass, FileKind, ShardedBlockMap, StegFs};
+use stegfs_base::{BlockClass, FileAccessKey, FileKind, ShardedBlockMap, StegFs, StegFsConfig};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
@@ -47,7 +57,31 @@ use crate::error::AgentError;
 use crate::registry::{BlockRole, FileId, Registry};
 use crate::stats::{SharedUpdateStats, UpdateStats};
 use crate::update::UpdateOutcome;
-use crate::volatile::{SessionId, UserCredential};
+
+/// Identifier of a login session.
+pub type SessionId = u64;
+
+/// One (path, FAK) pair a user discloses when logging on. Users disclose
+/// their hidden files *and* their dummy files — the agent cannot tell which
+/// is which until it opens the header, and the distinction never leaves the
+/// agent's volatile memory.
+#[derive(Debug, Clone)]
+pub struct UserCredential {
+    /// Path of the file.
+    pub path: String,
+    /// File access key.
+    pub fak: FileAccessKey,
+}
+
+impl UserCredential {
+    /// Convenience constructor.
+    pub fn new(path: impl Into<String>, fak: FileAccessKey) -> Self {
+        Self {
+            path: path.into(),
+            fak,
+        }
+    }
+}
 
 struct Session {
     user: String,
@@ -79,8 +113,8 @@ pub struct ConcurrentVolatileAgent<D> {
     /// One lock per map shard; held across every read-modify-write of a
     /// block in that shard.
     update_locks: Vec<Mutex<()>>,
-    /// Read side: per-block traffic. Write side: login, logout, flush —
-    /// multi-file structural operations.
+    /// Read side: per-block traffic. Write side: login, logout, file
+    /// creation, flush — multi-file structural operations.
     structural: RwLock<()>,
     /// Serialises updates of the same file.
     file_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
@@ -94,15 +128,19 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// Attach to an existing volume with zero knowledge, the production
     /// posture of Construction 2: every payload block starts out
     /// [`BlockClass::Unknown`] and the agent only ever touches blocks of
-    /// files that logged-in users disclose. Provisioning is done beforehand
-    /// with [`VolatileAgent`](crate::volatile::VolatileAgent).
+    /// files that logged-in users disclose. The volume is provisioned
+    /// beforehand through [`StegFs`] (see the module docs).
+    ///
+    /// `seed` seeds both the victim sampler and the volume DRBG that draws
+    /// IVs, so every restart must pass a fresh one: a repeated seed replays
+    /// the same IVs under the users' keys.
     pub fn mount(
         device: D,
         agent_cfg: AgentConfig,
         seed: u64,
         num_shards: usize,
     ) -> Result<Self, AgentError> {
-        let fs = StegFs::mount(device)?;
+        let fs = StegFs::mount_with(device, StegFsConfig::default().header_probe_limit, seed)?;
         let map = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, num_shards);
         Ok(Self {
             fs,
@@ -274,6 +312,39 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         } else {
             Err(AgentError::UnknownFile(id))
         }
+    }
+
+    /// Create a new hidden file for a logged-in user by converting blocks of
+    /// the disclosed dummy files into data blocks — how new data enters the
+    /// system at runtime without any global free-space knowledge. The donor
+    /// dummy files shrink in place and keep their ids. Structural.
+    pub fn create_file_from_dummies(
+        &self,
+        session: SessionId,
+        path: &str,
+        fak: &FileAccessKey,
+        content: &[u8],
+    ) -> Result<FileId, AgentError> {
+        let _exclusive = self.structural.write();
+        if !self.session_shard(session).read().contains_key(&session) {
+            return Err(AgentError::UnknownSession(session));
+        }
+        let file = self.fs.create_file(&mut &self.map, path, fak, content)?;
+        self.fs.register_file(&mut &self.map, &file);
+        let id = {
+            let mut registry = self.registry.write();
+            registry
+                .donate_dummy_blocks(&file.all_blocks(), self.fs.content_bytes_per_block() as u64);
+            registry.register(file)
+        };
+        self.open_counts.lock().insert(id, 1);
+        self.session_shard(session)
+            .write()
+            .get_mut(&session)
+            .expect("the structural lock pins the session")
+            .files
+            .push(id);
+        Ok(id)
     }
 
     /// Read a whole file. The registry read lock is held across the device
@@ -606,40 +677,38 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::volatile::VolatileAgent;
-    use stegfs_base::{FileAccessKey, StegFsConfig};
     use stegfs_blockdev::MemDevice;
 
     /// Provision a volume with two users, each owning a data and a dummy
-    /// file, then mount the concurrent agent with zero knowledge.
-    fn provisioned() -> (ConcurrentVolatileAgent<MemDevice>, Vec<u8>) {
+    /// file, directly on the substrate; returns the device and the content.
+    fn provision() -> (MemDevice, Vec<u8>) {
         let fs_cfg = StegFsConfig::default().with_block_size(512);
-        let mut setup = VolatileAgent::format(
-            MemDevice::new(2048, 512),
-            fs_cfg,
-            AgentConfig::default(),
-            21,
-        )
-        .unwrap();
-        let per = setup.fs().content_bytes_per_block();
+        let (fs, mut map) = StegFs::format(MemDevice::new(2048, 512), fs_cfg, 21).unwrap();
+        let per = fs.content_bytes_per_block();
         let content = (0..per * 6).map(|i| (i % 251) as u8).collect::<Vec<u8>>();
         for user in ["alice", "bob"] {
-            setup
-                .provision_file(
-                    &format!("/{user}/data"),
-                    &FileAccessKey::from_passphrase(&format!("{user}-data")),
-                    &content,
-                )
-                .unwrap();
-            setup
-                .provision_dummy_file(
-                    &format!("/{user}/dummy"),
-                    &FileAccessKey::from_passphrase(&format!("{user}-dummy")).without_content_key(),
-                    8,
-                )
-                .unwrap();
+            fs.create_file(
+                &mut map,
+                &format!("/{user}/data"),
+                &FileAccessKey::from_passphrase(&format!("{user}-data")),
+                &content,
+            )
+            .unwrap();
+            fs.create_dummy_file(
+                &mut map,
+                &format!("/{user}/dummy"),
+                &FileAccessKey::from_passphrase(&format!("{user}-dummy")).without_content_key(),
+                8,
+            )
+            .unwrap();
         }
-        let device = setup.into_device();
+        (fs.into_device(), content)
+    }
+
+    /// Mount the concurrent agent with zero knowledge on a provisioned
+    /// volume.
+    fn provisioned() -> (ConcurrentVolatileAgent<MemDevice>, Vec<u8>) {
+        let (device, content) = provision();
         let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 77, 8).unwrap();
         (agent, content)
     }
@@ -758,5 +827,116 @@ mod tests {
         assert_eq!(agent.map().data_blocks(), before_data);
         assert!(agent.map().counters_are_consistent());
         assert_eq!(agent.stats().data_updates, 16);
+    }
+
+    #[test]
+    fn login_discloses_files_and_enables_dummy_traffic() {
+        let (agent, content) = provisioned();
+        let session = agent.login("alice", &credentials("alice")).unwrap();
+        assert_eq!(agent.logged_in_users(), vec!["alice".to_string()]);
+        let files = agent.session_files(session).unwrap();
+        assert_eq!(files.len(), 2);
+        // Dummy updates are now possible and touch only disclosed blocks.
+        let known = agent.map().data_blocks() + agent.map().dummy_blocks();
+        assert!(known > 0);
+        for block in agent.tick_idle().unwrap() {
+            assert_ne!(agent.map().class(block), BlockClass::Unknown);
+        }
+        assert_eq!(agent.read_file(session, files[0]).unwrap(), content);
+    }
+
+    #[test]
+    fn login_with_wrong_key_fails() {
+        let (agent, content) = provisioned();
+        // The first credential opens, the second does not: the login must
+        // roll the first file back out of the agent's view.
+        let creds = vec![
+            credentials("alice").remove(0),
+            UserCredential::new(
+                "/alice/dummy",
+                FileAccessKey::from_passphrase("not-alice").without_content_key(),
+            ),
+        ];
+        assert!(agent.login("alice", &creds).is_err());
+        assert_eq!(agent.map().data_blocks(), 0);
+        assert!(agent.audit_map_consistency());
+        assert!(agent.logged_in_users().is_empty());
+
+        let session = agent.login("alice", &credentials("alice")).unwrap();
+        let files = agent.session_files(session).unwrap();
+        assert_eq!(agent.read_file(session, files[0]).unwrap(), content);
+    }
+
+    #[test]
+    fn create_file_from_dummies_converts_dummy_blocks() {
+        let (agent, _) = provisioned();
+        let session = agent.login("alice", &credentials("alice")).unwrap();
+        let files = agent.session_files(session).unwrap();
+        let per = agent.fs().content_bytes_per_block();
+        let new_fak = FileAccessKey::from_passphrase("alice-notes");
+        let content = vec![0x5Au8; per * 2];
+        let id = agent
+            .create_file_from_dummies(session, "/alice/notes", &new_fak, &content)
+            .unwrap();
+        assert_eq!(agent.read_file(session, id).unwrap(), content);
+        // The user's dummy file shrank in place to donate the blocks: its id
+        // is unchanged and the session still owns it.
+        assert_eq!(
+            agent.session_files(session).unwrap(),
+            [files[0], files[1], id]
+        );
+        let donated = 8 - agent.num_blocks(session, files[1]).unwrap();
+        assert!(donated > 0, "dummy file should have shrunk");
+        assert!(agent.audit_map_consistency());
+        // Updates relocate into what is left of the dummy pool.
+        agent.update_block(session, id, 0, &vec![1u8; per]).unwrap();
+        agent.flush().unwrap();
+        agent.logout(session).unwrap();
+        assert_eq!(agent.map().data_blocks(), 0, "view forgotten at logout");
+
+        let session2 = agent
+            .login(
+                "alice",
+                &[
+                    credentials("alice").remove(1),
+                    UserCredential::new("/alice/notes", new_fak.clone()),
+                ],
+            )
+            .unwrap();
+        let files2 = agent.session_files(session2).unwrap();
+        assert_eq!(agent.num_blocks(session2, files2[0]).unwrap(), 8 - donated);
+        let read = agent.read_file(session2, files2[1]).unwrap();
+        assert_eq!(&read[..per], &vec![1u8; per][..]);
+        assert_eq!(&read[per..], &content[per..]);
+        assert!(matches!(
+            agent.create_file_from_dummies(999, "/x", &new_fak, b"x"),
+            Err(AgentError::UnknownSession(999))
+        ));
+    }
+
+    #[test]
+    fn mount_seed_drives_the_ivs() {
+        // Two restarts of one volume, each rewriting the same block in place
+        // (ablation mode, so both land on the same block): a fresh mount
+        // seed must give a fresh IV.
+        let (device, _) = provision();
+        let ivs: Vec<Vec<u8>> = [11u64, 999_999]
+            .iter()
+            .map(|&seed| {
+                let copy = stegfs_blockdev::clone_to_mem(&device).unwrap();
+                let cfg = AgentConfig::default().without_relocation();
+                let agent = ConcurrentVolatileAgent::mount(copy, cfg, seed, 8).unwrap();
+                let session = agent.login("alice", &credentials("alice")).unwrap();
+                let data = agent.session_files(session).unwrap()[0];
+                let block = agent
+                    .update_block(session, data, 0, b"same payload")
+                    .unwrap()
+                    .current_block();
+                let mut raw = vec![0u8; 512];
+                agent.fs().device().read_block(block, &mut raw).unwrap();
+                raw[..stegfs_base::IV_SIZE].to_vec()
+            })
+            .collect();
+        assert_ne!(ivs[0], ivs[1], "two mounts replayed the same IV");
     }
 }

@@ -86,31 +86,26 @@ fn main() {
     // ---- 2. The concurrent volatile agent. ----
     // Provision two users, each with a data file and a dummy file whose
     // blocks donate relocation targets while the user is logged in.
-    let mut setup = VolatileAgent::format(
-        MemDevice::new(2048, 4096),
-        StegFsConfig::default(),
-        AgentConfig::default(),
-        21,
-    )
-    .expect("format");
-    let per = setup.fs().content_bytes_per_block();
+    let (fs, mut map) =
+        StegFs::format(MemDevice::new(2048, 4096), StegFsConfig::default(), 21).expect("format");
+    let per = fs.content_bytes_per_block();
     for name in ["alice", "bob"] {
-        setup
-            .provision_file(
-                &format!("/{name}/notes"),
-                &FileAccessKey::from_passphrase(&format!("{name}'s passphrase")),
-                &vec![0x5a; per * 4],
-            )
-            .expect("provision data");
-        setup
-            .provision_dummy_file(
-                &format!("/{name}/cover"),
-                &FileAccessKey::from_passphrase(&format!("{name}'s cover")).without_content_key(),
-                8,
-            )
-            .expect("provision dummy");
+        fs.create_file(
+            &mut map,
+            &format!("/{name}/notes"),
+            &FileAccessKey::from_passphrase(&format!("{name}'s passphrase")),
+            &vec![0x5a; per * 4],
+        )
+        .expect("provision data");
+        fs.create_dummy_file(
+            &mut map,
+            &format!("/{name}/cover"),
+            &FileAccessKey::from_passphrase(&format!("{name}'s cover")).without_content_key(),
+            8,
+        )
+        .expect("provision dummy");
     }
-    let agent = ConcurrentVolatileAgent::mount(setup.into_device(), AgentConfig::default(), 7, 8)
+    let agent = ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 7, 8)
         .expect("mount");
     assert_eq!(agent.map().data_blocks(), 0); // zero knowledge at mount
 

@@ -10,37 +10,28 @@
 
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
-use stegfs_repro::steghide::{AgentConfig, UserCredential, VolatileAgent};
+use stegfs_repro::steghide::{AgentConfig, ConcurrentVolatileAgent, UserCredential};
 
 fn main() {
     let fs_cfg = StegFsConfig::default();
 
     // ---- Provisioning phase (before the system goes live). ----------------
-    let mut setup = VolatileAgent::format(
-        MemDevice::new(16 * 1024, 4096),
-        fs_cfg,
-        AgentConfig::default(),
-        7,
-    )
-    .expect("format");
+    let (fs, mut map) = StegFs::format(MemDevice::new(16 * 1024, 4096), fs_cfg, 7).expect("format");
 
     let diary_fak = FileAccessKey::from_passphrase("alice diary key");
     let decoy_fak = FileAccessKey::from_passphrase("alice decoy key").without_content_key();
     let diary = b"2026-06-13: met the journalist at the usual place...".repeat(50);
-    setup
-        .provision_file("/alice/diary", &diary_fak, &diary)
+    fs.create_file(&mut map, "/alice/diary", &diary_fak, &diary)
         .expect("provision diary");
-    setup
-        .provision_dummy_file("/alice/vacation-photos", &decoy_fak, 16)
+    fs.create_dummy_file(&mut map, "/alice/vacation-photos", &decoy_fak, 16)
         .expect("provision decoy");
 
-    // ---- The agent restarts: it now knows nothing at all. -----------------
-    let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 99)
+    // ---- The agent starts: it knows nothing at all. -----------------------
+    let agent = ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 99, 8)
         .expect("mount with zero knowledge");
     println!(
-        "agent restarted: knows about {} blocks",
-        agent.block_map().data_blocks()
+        "agent started: knows about {} blocks",
+        agent.map().data_blocks()
     );
 
     // ---- Alice logs in, disclosing both her real and her decoy files. -----

@@ -48,7 +48,5 @@ pub mod prelude {
     pub use stegfs_resilience::{
         IntentJournal, RegistryConfig, ResilienceConfig, ResilientStore, StripeConfig,
     };
-    pub use steghide::{
-        AgentConfig, ConcurrentVolatileAgent, NonVolatileAgent, UserCredential, VolatileAgent,
-    };
+    pub use steghide::{AgentConfig, ConcurrentVolatileAgent, NonVolatileAgent, UserCredential};
 }

@@ -1,12 +1,13 @@
 //! End-to-end integration test of the volatile-agent deployment (the paper's
-//! Construction 2): provisioning, agent restart, multi-user sessions,
-//! updates with relocation, logout and a second restart.
+//! Construction 2): provisioning, agent start, multi-user sessions,
+//! updates with relocation, logout and a restart.
 
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
-use stegfs_repro::steghide::{AgentConfig, UserCredential, VolatileAgent};
+use stegfs_repro::steghide::{AgentConfig, ConcurrentVolatileAgent, UserCredential};
 
 const BLOCK_SIZE: usize = 512;
+const SHARDS: usize = 4;
 
 struct User {
     name: &'static str,
@@ -41,34 +42,32 @@ fn credentials(user: &User) -> Vec<UserCredential> {
 #[test]
 fn multi_user_lifecycle_across_restarts() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let mut setup = VolatileAgent::format(
-        MemDevice::new(4096, BLOCK_SIZE),
-        fs_cfg,
-        AgentConfig::default(),
-        1,
-    )
-    .unwrap();
-    let per_block = setup.fs().content_bytes_per_block();
+    let (fs, mut map) = StegFs::format(MemDevice::new(4096, BLOCK_SIZE), fs_cfg, 1).unwrap();
+    let per_block = fs.content_bytes_per_block();
     let users = users(per_block);
 
     // Provision every user with a data file and a dummy pool.
     for user in &users {
-        setup
-            .provision_file(
-                &format!("/{}/data", user.name),
-                &user.data_fak,
-                &user.content,
-            )
-            .unwrap();
-        setup
-            .provision_dummy_file(&format!("/{}/dummy", user.name), &user.dummy_fak, 12)
-            .unwrap();
+        fs.create_file(
+            &mut map,
+            &format!("/{}/data", user.name),
+            &user.data_fak,
+            &user.content,
+        )
+        .unwrap();
+        fs.create_dummy_file(
+            &mut map,
+            &format!("/{}/dummy", user.name),
+            &user.dummy_fak,
+            12,
+        )
+        .unwrap();
     }
 
-    // Restart: the agent now has zero knowledge.
-    let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 2).unwrap();
-    assert_eq!(agent.block_map().data_blocks(), 0);
+    // The agent starts with zero knowledge.
+    let agent = ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 2, SHARDS)
+        .unwrap();
+    assert_eq!(agent.map().data_blocks(), 0);
 
     // All three users log in concurrently; each reads and updates its file
     // while the agent interleaves dummy traffic.
@@ -96,12 +95,12 @@ fn multi_user_lifecycle_across_restarts() {
     for &session in &sessions {
         agent.logout(session).unwrap();
     }
-    assert_eq!(agent.block_map().data_blocks(), 0);
+    assert_eq!(agent.map().data_blocks(), 0);
     assert!(agent.tick_idle().is_err(), "nothing left to dummy-update");
 
-    // Second restart, then each user independently verifies its data.
+    // Restart, then each user independently verifies its data.
     let device = agent.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 3).unwrap();
+    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 3, SHARDS).unwrap();
     for (user, expected) in users.iter().zip(&expected) {
         let session = agent.login(user.name, &credentials(user)).unwrap();
         let files = agent.session_files(session).unwrap();
@@ -115,20 +114,13 @@ fn multi_user_lifecycle_across_restarts() {
 #[test]
 fn users_cannot_find_each_others_files() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let mut setup = VolatileAgent::format(
-        MemDevice::new(2048, BLOCK_SIZE),
-        fs_cfg,
-        AgentConfig::default(),
-        5,
-    )
-    .unwrap();
+    let (fs, mut map) = StegFs::format(MemDevice::new(2048, BLOCK_SIZE), fs_cfg, 5).unwrap();
     let alice = FileAccessKey::from_passphrase("alice-data");
-    setup
-        .provision_file("/alice/data", &alice, b"alice's secret")
+    fs.create_file(&mut map, "/alice/data", &alice, b"alice's secret")
         .unwrap();
 
-    let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 6).unwrap();
+    let agent = ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 6, SHARDS)
+        .unwrap();
 
     // Bob guesses Alice's path but has his own key: login fails, and the
     // failure is indistinguishable from the file simply not existing.
