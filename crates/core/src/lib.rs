@@ -55,3 +55,9 @@ pub use registry::{BlockRole, FileId, Registry};
 pub use stats::{SharedUpdateStats, UpdateStats};
 pub use update::UpdateOutcome;
 pub use volatile_concurrent::{ConcurrentVolatileAgent, SessionId, UserCredential};
+
+/// Single-caller session-lifecycle tests of the Construction 2 agent.
+#[cfg(test)]
+mod volatile {
+    mod tests;
+}
